@@ -144,12 +144,14 @@ class JoinModule:
         shipments whose epochs overlap it, and a post-move shipment can
         trail tuples predating an earlier one — and a cutoff derived
         from the head alone would expire window tuples those batches
-        still need to join against."""
-        oldest = float("inf")
+        still need to join against.  Folded into the live field, as in
+        :meth:`_drain`, so a concurrent ``enqueue`` is never lost."""
+        self._oldest_pending_ts = float("inf")
         for queue in self._minibuffers.values():
-            for batch in queue:
-                oldest = min(oldest, float(batch.ts.min()))
-        self._oldest_pending_ts = oldest
+            for batch in tuple(queue):  # snapshot: see _drain
+                self._oldest_pending_ts = min(
+                    self._oldest_pending_ts, float(batch.ts.min())
+                )
 
     def snapshot_partition(self, pid: int) -> tuple[PartitionGroupState, TupleBatch]:
         """Non-destructive copy of *pid*'s window state + unprocessed
@@ -304,8 +306,11 @@ class JoinModule:
             # batch (post-move shipments) nor monotone across batches
             # (restore-replay queues a checkpointed mini-buffer ahead
             # of logged shipments that overlap it), so the head batch
-            # alone can overstate the oldest pending timestamp.
-            for batch in queue:
+            # alone can overstate the oldest pending timestamp.  Scan a
+            # snapshot: on the wall-clock backends the slave's receive
+            # thread may append to this deque mid-scan, and iterating a
+            # deque while it grows raises.
+            for batch in tuple(queue):
                 self._oldest_pending_ts = min(
                     self._oldest_pending_ts, float(batch.ts.min())
                 )

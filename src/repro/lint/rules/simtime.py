@@ -45,17 +45,15 @@ WALL_CLOCK_NAMES = frozenset(
 )
 
 #: Files that legitimately touch the host clock: the wall-clock-backed
-#: thread/process runtime and transport pairs and the CLI's
-#: elapsed-time reporting.
+#: thread runtime and transport, the socket backends' shared runtime
+#: and transport, and the CLI's elapsed-time reporting.
 WALL_CLOCK_ALLOWED_SUFFIXES: tuple[str, ...] = (
     "repro/runtime/thread.py",
     "repro/runtime/process.py",
-    "repro/runtime/tcp.py",
     "repro/net/thread_transport.py",
     "repro/net/proc_transport.py",
-    # The TCP transport/backend pair is real-socket infrastructure:
-    # handshake timeouts, retry backoff sleeps and the shared start
-    # barrier are wall-clock by nature, like the process pair above.
+    # The TCP connector is real-socket infrastructure: handshake
+    # timeouts and retry backoff sleeps are wall-clock by nature.
     "repro/net/tcp_transport.py",
     # The admin HTTP server reports real uptime: it is wall-clock
     # infrastructure by definition, never part of the modeled cluster.

@@ -10,6 +10,9 @@
   Figures 9–14 report.
 * :mod:`~repro.net.thread_transport` — real queue-based rendezvous
   channels for the wall-clock backend.
+* :mod:`~repro.net.proc_transport` — the buffered socket data plane
+  of the process and tcp backends; :mod:`~repro.net.tcp_transport`
+  connects its mesh over TCP.
 
 Rendezvous semantics are the heart of the paper's Section III argument:
 a receive blocks until the sender is scheduled to send (and vice

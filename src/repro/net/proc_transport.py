@@ -1,9 +1,16 @@
-"""Socket-pair channels for the process backend.
+"""The socket data plane shared by the process and tcp backends.
 
-Each unordered node pair of the cluster shares one full-duplex
-``socket.socketpair()``; the two endpoint processes inherit one end
-each (the parent closes both after forking, so peer death is
-observable as EOF).  Messages travel as length-prefixed frames::
+Each unordered node pair shares one full-duplex stream socket.  Two
+connectors build that mesh and hand the sockets to the one
+:class:`SocketTransport`:
+
+* the process backend creates a ``socket.socketpair()`` per pair
+  before forking, and each child keeps its own ends (the parent closes
+  both after forking, so peer death is observable as EOF);
+* the tcp backend connects the pairs over TCP with the versioned
+  handshake of :mod:`repro.net.tcp_transport`.
+
+Messages travel as length-prefixed frames::
 
     length  4 bytes  big-endian payload size
     payload         one :mod:`repro.net.wire` encoded message
@@ -16,12 +23,13 @@ so :mod:`repro.mp.comm` collectives behave identically:
 * **peer EOF → NodeDown** — when the remote process exits (cleanly or
   killed), buffered frames are still delivered, then ``recv`` resolves
   to :class:`~repro.faults.markers.NodeDown`, the same marker the DES
-  transport synthesizes for a reaped node.  The PR 3 failure-detection
-  path in the master therefore works unchanged.
-* **sends to a dead peer complete silently** — a write hitting a
-  closed socket (``BrokenPipeError``/``ECONNRESET``) is the
-  TCP-buffered-write model of a fail-stop peer: the sender cannot
-  know, the message is discarded, the send "succeeds".
+  transport synthesizes for a reaped node.  The master's
+  failure-detection path therefore works unchanged.
+* **sends to a dead peer complete** — a write hitting a closed socket
+  (``BrokenPipeError``/``ECONNRESET``) is the buffered-write model of
+  a fail-stop peer: the message is discarded and the send never
+  raises.  The thunk resolves to ``NodeDown`` so tests and diagnostics
+  can see the broken pipe; protocol code ignores send values.
 * **recv timeout → RecvTimeout** — an armed detection timeout that
   elapses with no frame resolves to
   :class:`~repro.faults.markers.RecvTimeout` (timeout is in *modeled*
@@ -31,6 +39,11 @@ so :mod:`repro.mp.comm` collectives behave identically:
   peer can never wedge on a full socket buffer, and local receives
   from the fenced peer resolve to ``NodeDown`` (the master never
   legitimately receives from a slave it fenced).
+
+Every channel tallies frames and wire bytes (header + payload) in both
+directions; :meth:`SocketTransport.attach_registry` binds the tallies
+to the metrics registry as ``net.tx_bytes.to_n*`` /
+``net.rx_frames.from_n*`` series.
 
 Unlike the rendezvous transports, sends are *buffered*: ``send``
 completes once the frame is written to the socket, which blocks only
@@ -140,12 +153,15 @@ class FrameReader:
         return payload
 
 
+
+
 class _Channel:
-    """This node's half of one peer socket."""
+    """This node's half of one peer socket, with its traffic tallies."""
 
     __slots__ = (
         "peer", "sock", "reader", "send_lock", "draining",
         "send_seq", "recv_seq",
+        "tx_frames", "tx_bytes", "rx_frames", "rx_bytes", "counters",
     )
 
     def __init__(self, peer: int, sock: socket.socket) -> None:
@@ -156,18 +172,66 @@ class _Channel:
         self.draining = False
         # Per-directed-stream message counters for transport tracing:
         # the socket is FIFO, so the n-th send pairs the n-th receive
-        # on the peer.  ``send_seq`` is guarded by ``send_lock``;
-        # exactly one thread reads a channel, so ``recv_seq`` is not.
+        # on the peer.  The send side is guarded by ``send_lock``;
+        # exactly one thread reads a channel, so the recv side is not.
         self.send_seq = 0
         self.recv_seq = 0
+        self.tx_frames = 0
+        self.tx_bytes = 0
+        self.rx_frames = 0
+        self.rx_bytes = 0
+        #: Registry counters ``(tx_frames, tx_bytes, rx_frames,
+        #: rx_bytes)`` once :meth:`bind` ran, else ``None``.
+        self.counters: tuple[t.Any, ...] | None = None
+
+    def bind(self, registry: t.Any) -> None:
+        peer = self.peer
+        self.counters = (
+            registry.counter(
+                f"net.tx_frames.to_n{peer}", "wire frames written to this peer"
+            ),
+            registry.counter(
+                f"net.tx_bytes.to_n{peer}",
+                "wire bytes (header + payload) written to this peer",
+            ),
+            registry.counter(
+                f"net.rx_frames.from_n{peer}", "wire frames read from this peer"
+            ),
+            registry.counter(
+                f"net.rx_bytes.from_n{peer}",
+                "wire bytes (header + payload) read from this peer",
+            ),
+        )
+        # Replay anything tallied before the registry was attached
+        # (mesh set-up happens before build_cluster creates it).
+        for counter, value in zip(
+            self.counters,
+            (self.tx_frames, self.tx_bytes, self.rx_frames, self.rx_bytes),
+        ):
+            if value:
+                counter.inc(value)
+
+    def on_send(self, wire_bytes: int) -> None:
+        self.tx_frames += 1
+        self.tx_bytes += wire_bytes
+        if self.counters is not None:
+            self.counters[0].inc()
+            self.counters[1].inc(wire_bytes)
+
+    def on_recv(self, wire_bytes: int) -> None:
+        self.rx_frames += 1
+        self.rx_bytes += wire_bytes
+        if self.counters is not None:
+            self.counters[2].inc()
+            self.counters[3].inc(wire_bytes)
 
 
 class _ForeignEndpoint:
     """Endpoint stub for a node that lives in another OS process.
 
-    ``build_cluster`` wires every node of the cluster, but a process
-    backend child only *runs* its own node's generators — the other
-    nodes' endpoints must never be exercised here.
+    ``build_cluster`` wires every node of the cluster, but a socket
+    backend node only *runs* its own generators — the other nodes'
+    endpoints must never be exercised here.
     """
 
     __slots__ = ("node_id",)
@@ -186,12 +250,13 @@ class _ForeignEndpoint:
     drain = _refuse
 
 
-class ProcTransport:
+class SocketTransport:
     """One process's view of the cluster interconnect.
 
     ``peers`` maps peer node id -> this process's end of the shared
-    socket pair.  ``endpoint`` hands out the real endpoint for the
-    local node and refusing stubs for every other node.
+    stream socket, however the connector built it.  ``endpoint`` hands
+    out the real endpoint for the local node and refusing stubs for
+    every other node.
     """
 
     def __init__(
@@ -225,16 +290,16 @@ class ProcTransport:
 
     def rebase(self, origin: float) -> None:
         """Move modeled t=0 to the given ``time.monotonic()`` value (set
-        by the process backend's start barrier, shared by all nodes)."""
+        by the launcher's start barrier, shared by all nodes)."""
         self._origin = origin
 
     # -- wiring --------------------------------------------------------------
     def endpoint(
         self, node_id: int, stats: CommStats | None = None
-    ) -> "ProcEndpoint | _ForeignEndpoint":
+    ) -> "SocketEndpoint | _ForeignEndpoint":
         if node_id != self.node_id:
             return _ForeignEndpoint(node_id)
-        return ProcEndpoint(self, stats)
+        return SocketEndpoint(self, stats)
 
     def channel(self, peer: int) -> _Channel:
         chan = self._channels.get(peer)
@@ -259,12 +324,30 @@ class ProcTransport:
         wire = getattr(message, "wire_bytes", None)
         return 64 if wire is None else int(wire(self.tuple_bytes))
 
+    # -- per-pair tallies ----------------------------------------------------
+    def attach_registry(self, registry: t.Any) -> None:
+        """Bind every pair's tallies to a metrics registry."""
+        for peer in sorted(self._channels):
+            self._channels[peer].bind(registry)
+
+    def pair_stats(self) -> dict[int, dict[str, int]]:
+        """Raw per-peer counters (always maintained, registry or not)."""
+        return {
+            peer: {
+                "tx_frames": chan.tx_frames,
+                "tx_bytes": chan.tx_bytes,
+                "rx_frames": chan.rx_frames,
+                "rx_bytes": chan.rx_bytes,
+            }
+            for peer, chan in sorted(self._channels.items())
+        }
+
     # -- fencing -------------------------------------------------------------
     def drain_peer(self, peer: int) -> None:
         """Fence *peer*: discard its frames in the background forever.
 
         Idempotent.  Keeps a live-but-fenced peer from blocking on a
-        full socket buffer (the process analogue of
+        full socket buffer (the socket analogue of
         :meth:`SimTransport.drain_pair`'s silently-completing sends).
         """
         chan = self.channel(peer)
@@ -287,53 +370,63 @@ class ProcTransport:
         thread.start()
 
 
-class ProcEndpoint:
-    """The local node's handle on the process transport."""
+class SocketEndpoint:
+    """The local node's handle on the socket transport."""
 
     __slots__ = ("transport", "node_id", "stats")
 
     def __init__(
-        self, transport: ProcTransport, stats: CommStats | None
+        self, transport: SocketTransport, stats: CommStats | None
     ) -> None:
         self.transport = transport
         self.node_id = transport.node_id
         self.stats = stats
 
+    def _trace(
+        self, t0: float, t1: float, peer: int, message: t.Any,
+        nbytes: int, phase: str, seq: int,
+    ) -> None:
+        tracer = self.transport.tracer
+        if not tracer.enabled:
+            return
+        tracer.emit(
+            TransportEvent(
+                t=t0 if phase == "send" else t1,
+                node=self.node_id,
+                dst=peer,
+                msg=type(message).__name__,
+                nbytes=nbytes,
+                duration=t1 - t0,
+                phase=phase,
+                xfer_seq=seq,
+            )
+        )
+
     def send(self, dst: int, message: t.Any) -> Thunk:
         transport = self.transport
         chan = transport.channel(dst)
 
-        def fn() -> None:
+        def fn() -> NodeDown | None:
             payload = encode_message(message)
             t0 = transport._now()
-            try:
-                with chan.send_lock:
-                    seq = chan.send_seq
-                    chan.send_seq += 1
+            dead = False
+            with chan.send_lock:
+                seq = chan.send_seq
+                chan.send_seq += 1
+                try:
                     write_frame(chan.sock, payload)
-            except (BrokenPipeError, ConnectionResetError, OSError):
-                # Fail-stop peer: the write lands in a void, exactly
-                # like a TCP write buffered towards a dead host.  The
-                # sender cannot observe the difference.
-                pass
+                except OSError:
+                    # Fail-stop peer: the write lands in a void, exactly
+                    # like a buffered write towards a dead host.
+                    dead = True
+                else:
+                    chan.on_send(FRAME_HEADER.size + len(payload))
             t1 = transport._now()
             nbytes = transport._message_bytes(message)
             if self.stats is not None:
                 self.stats.record_comm(t0, t1, nbytes, sent=True)
-            tracer = transport.tracer
-            if tracer.enabled:
-                tracer.emit(
-                    TransportEvent(
-                        t=t0,
-                        node=self.node_id,
-                        dst=dst,
-                        msg=type(message).__name__,
-                        nbytes=nbytes,
-                        duration=t1 - t0,
-                        phase="send",
-                        xfer_seq=seq,
-                    )
-                )
+            self._trace(t0, t1, dst, message, nbytes, "send", seq)
+            return NodeDown(dst) if dead else None
 
         return Thunk(fn)
 
@@ -353,39 +446,24 @@ class ProcEndpoint:
             )
             frame = chan.reader.read_frame(wall)
             t1 = transport._now()
+            if self.stats is not None:
+                self.stats.record_idle(t0, t1)
             if frame is _TIMED_OUT:
-                if self.stats is not None:
-                    self.stats.record_idle(t0, t1)
                 return RecvTimeout(timeout or 0.0)
             if frame is _EOF:
-                if self.stats is not None:
-                    self.stats.record_idle(t0, t1)
                 return NodeDown(src)
+            chan.on_recv(FRAME_HEADER.size + len(frame))
             message = decode_message(frame)
             seq = chan.recv_seq
             chan.recv_seq += 1
             nbytes = transport._message_bytes(message)
             if self.stats is not None:
-                self.stats.record_idle(t0, t1)
                 self.stats.record_comm(t1, t1, nbytes, sent=False)
-            tracer = transport.tracer
-            if tracer.enabled:
-                tracer.emit(
-                    TransportEvent(
-                        t=t1,
-                        node=self.node_id,
-                        dst=src,
-                        msg=type(message).__name__,
-                        nbytes=nbytes,
-                        duration=t1 - t0,
-                        phase="recv",
-                        xfer_seq=seq,
-                    )
-                )
+            self._trace(t0, t1, src, message, nbytes, "recv", seq)
             return message
 
         return Thunk(fn)
 
     def drain(self, src: int) -> None:
-        """Fence the channel from *src* (see :meth:`ProcTransport.drain_peer`)."""
+        """Fence the channel from *src* (see :meth:`SocketTransport.drain_peer`)."""
         self.transport.drain_peer(src)

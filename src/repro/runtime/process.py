@@ -3,35 +3,48 @@
 ``backend="process"`` runs the master, each slave and the collector as
 real OS processes (``fork``), connected by one full-duplex
 ``socket.socketpair()`` per node pair carrying :mod:`repro.net.wire`
-frames.  Each child rebuilds the *full* cluster deterministically from
-the config (same seed, same round-robin partition map) but spawns only
-its own node's generators, driven by a per-process
+frames over the :class:`~repro.net.proc_transport.SocketTransport`.
+Each child rebuilds the *full* cluster deterministically from the
+config (same seed, same round-robin partition map) but spawns only its
+own node's generators, driven by a per-process
 :class:`~repro.runtime.thread.ThreadRuntime` — the identical generator
 code that runs on the DES kernel and the thread backend.
 
-Startup protocol (per child, over a parent<->child pipe):
+This module also owns what the process and tcp backends share: the
+node body :func:`_run_node`, the :class:`ControlConn` control plane
+and the launcher phases of :class:`ProcessBackend`, which
+:class:`~repro.runtime.tcp.TcpBackend` only re-plugs with a different
+way of starting nodes and wiring the mesh.
+
+Node life, over one control connection to the launcher (here one more
+socketpair per node):
 
 1. build the cluster, report ``("ready", node_id)``;
-2. receive the shared clock *origin* (a ``time.monotonic()`` value —
-   system-wide on Linux — placed slightly in the future so every node
-   starts modeled t=0 simultaneously, after all setup work);
+2. receive ``("start", origin)``: the shared clock *origin* (a
+   ``time.monotonic()`` value — system-wide on Linux — placed slightly
+   in the future so every node starts modeled t=0 simultaneously,
+   after all setup work), or ``None`` on a host that does not share
+   the launcher's clock;
 3. rebase runtime and transport, spawn the node's generators;
 4. on completion, ship a pickled metrics payload back and exit —
-   process exit closes the sockets, so peers observe EOF exactly when
-   the node is truly gone.
+   closing the sockets, so peers observe EOF exactly when the node is
+   truly gone.
 
-Crash faults (``crash:<slave>@<t>``) are injected by the parent:
+The launcher passes ``cfg`` and the workload to its children by fork
+inheritance; nothing is pickled on the way in.
+
+Crash faults (``crash:<slave>@<t>``) are injected by the launcher:
 a timer SIGKILLs the victim's process at the scaled wall time.  Peer
 EOF then drives the same ``NodeDown`` detection/recovery machinery the
 DES fault plane exercises.  Message and slowdown faults hang off the
 simulated transport and are rejected up front.
 
-Distributed tracing: each child owns a node-local
+Distributed tracing: each node owns a node-local
 :class:`~repro.obs.tracer.Tracer` writing to a :class:`PipeExporter`,
-which batches records back to the parent as ``("trace", node_id,
-batch)`` pipe messages.  Timestamps are already on the shared modeled
-clock (every child rebased onto the broadcast origin), so the parent
-just merges all buffers with
+which batches records back to the launcher as ``("trace", node_id,
+batch)`` control messages.  Timestamps are already on the shared
+modeled clock (every node rebased onto the broadcast origin), so the
+launcher just merges all buffers with
 :func:`~repro.obs.exporters.merge_records` — a stable ``(t, node,
 seq)`` order — and replays them into the configured sinks.  Batches
 flush every :data:`TRACE_BATCH` records *during* the run, so a
@@ -47,12 +60,14 @@ See DESIGN.md ("Runtime backends").
 from __future__ import annotations
 
 import multiprocessing as mp
+import pickle
 import socket
+import sys
 import threading
 import time
 import traceback
 import typing as t
-from multiprocessing import connection as mp_connection
+from queue import Empty, Queue
 
 import numpy as np
 
@@ -69,7 +84,13 @@ from repro.core.cluster import (
 from repro.core.metrics import DelayStats, MeasurementWindow, SlaveMetrics
 from repro.core.system import RunResult, master_snapshot, start_admin_server
 from repro.errors import ConfigError, DeadlockError
-from repro.net.proc_transport import ProcTransport
+from repro.net.proc_transport import (
+    _EOF,
+    _TIMED_OUT,
+    FrameReader,
+    SocketTransport,
+    write_frame,
+)
 from repro.obs.exporters import (
     ConsoleSummaryExporter,
     Exporter,
@@ -80,37 +101,76 @@ from repro.obs.exporters import (
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.thread import ThreadRuntime, reject_unsupported
 
-#: Wall seconds between "all nodes ready" and modeled t=0: covers pipe
-#: latency, the rebase and thread spawning in every child.
+#: Wall seconds between "all nodes ready" and modeled t=0: covers
+#: control-message latency, the rebase and thread spawning in every
+#: node.
 STARTUP_GRACE = 0.5
-#: Wall seconds the parent waits for each child's "ready".
+#: Wall seconds the launcher waits for every node's "ready" (and a node
+#: for the start message).
 SETUP_TIMEOUT = 120.0
-#: Trace records per ``("trace", ...)`` pipe message.  Large enough
+#: Trace records per ``("trace", ...)`` control message.  Large enough
 #: that pickling doesn't dominate high-volume tracing (transport
 #: spans); the wall-time bound below covers low-volume tracers.
 TRACE_BATCH = 64
 #: Maximum wall seconds a buffered trace record may wait before it is
-#: flushed to the parent.  Bounds how much of its trace a SIGKILLed
+#: flushed to the launcher.  Bounds how much of its trace a SIGKILLed
 #: victim can lose, regardless of event rate.
 TRACE_FLUSH_WALL_S = 0.05
 
 _Pair = tuple[int, int]
 _Sockets = dict[_Pair, tuple[socket.socket, socket.socket]]
+_Inbox = Queue[tuple[int, t.Any]]
+
+
+class ControlConn:
+    """Pickled-object control plane over one length-prefixed stream.
+
+    The launcher<->node link of both socket backends: a socketpair for
+    a forked node, a handshaken TCP connection for a tcp worker.  The
+    control plane is trusted — it only ever links a launcher to nodes
+    it started itself; the data plane speaks the versioned wire codec
+    only.
+    """
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self._reader = FrameReader(sock)
+        self._lock = threading.Lock()
+
+    def send(self, obj: t.Any) -> None:
+        payload = pickle.dumps(obj)
+        with self._lock:
+            write_frame(self.sock, payload)
+
+    def recv(self, timeout: float | None = None) -> t.Any:
+        frame = self._reader.read_frame(timeout)
+        if frame is _EOF:
+            raise EOFError("control connection closed")
+        if frame is _TIMED_OUT:
+            raise TimeoutError(f"no control message within {timeout:g}s")
+        return pickle.loads(frame)
+
+    def close(self) -> None:
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self.sock.close()
 
 
 class PipeExporter(Exporter):
-    """Trace sink that ships records to the parent over the child pipe.
+    """Trace sink that ships records to the launcher over the control
+    connection.
 
     Records accumulate in a local buffer and flush as ``("trace",
     node_id, batch)`` messages every :data:`TRACE_BATCH` records, when
     the oldest buffered record is :data:`TRACE_FLUSH_WALL_S` old, and
     on :meth:`close`.  The tracer's emit lock already serializes
     ``export`` calls; the exporter's own lock additionally guards the
-    buffer against a concurrent ``close`` and keeps pickled messages
-    from interleaving on the pipe.
+    buffer against a concurrent ``close``.
     """
 
-    def __init__(self, conn: t.Any, node_id: int) -> None:
+    def __init__(self, conn: ControlConn, node_id: int) -> None:
         self._conn = conn
         self._node_id = node_id
         self._buffer: list[dict[str, t.Any]] = []
@@ -141,8 +201,8 @@ class PipeExporter(Exporter):
         with self._lock:
             try:
                 self._flush_locked()
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                pass  # parent gone: nothing left to ship the tail to
+            except OSError:  # pragma: no cover
+                pass  # launcher gone: nothing left to ship the tail to
 
 
 def _owner_of(name: str, standby_id: int | None = None) -> int:
@@ -217,46 +277,44 @@ def _obs_payload(node_id: int, cluster: Cluster) -> dict[str, t.Any]:
     }
 
 
-def _node_main(
+def _ship_error(control: ControlConn, node_id: int) -> None:
+    """Ship the exception being handled to the launcher, best effort
+    (an unpicklable exception goes as its traceback text alone)."""
+    detail = traceback.format_exc()
+    for error in (sys.exc_info()[1], None):
+        try:
+            control.send(("error", node_id, error, detail))
+            return
+        except Exception:  # noqa: BLE001 - try the plainer message
+            continue
+
+
+def _run_node(
     node_id: int,
     cfg: SystemConfig,
-    sockets: _Sockets,
-    pipes: dict[int, tuple[t.Any, t.Any]],
+    peers: dict[int, socket.socket],
+    control: ControlConn,
     workload: t.Any,
     collect_pairs: bool,
 ) -> None:
-    """Child entry point (runs post-fork, inherits all fds)."""
-    conn = pipes[node_id][1]
-    try:
-        # Keep only this node's socket ends.  Critical: a leaked foreign
-        # fd would keep a dead peer's channel open and suppress the EOF
-        # its peers rely on for failure detection.
-        peers: dict[int, socket.socket] = {}
-        for (a, b), (sock_a, sock_b) in sockets.items():
-            if a == node_id:
-                peers[b] = sock_a
-                sock_b.close()
-            elif b == node_id:
-                peers[a] = sock_b
-                sock_a.close()
-            else:
-                sock_a.close()
-                sock_b.close()
-        for other, (parent_conn, child_conn) in pipes.items():
-            parent_conn.close()
-            if other != node_id:
-                child_conn.close()
+    """Serve one cluster node for one run, on either socket backend.
 
+    *peers* is this node's end of every mesh socket, however the
+    connector built them.  Failures ship to the launcher as ``("error",
+    node_id, exception, traceback)``.  The node's sockets close on the
+    way out, so its peers observe EOF.
+    """
+    transport = None
+    try:
         runtime = ThreadRuntime(time_scale=cfg.time_scale)
-        # Node-local tracer: records ship to the parent over the pipe
-        # and merge there — children never touch the JSONL/console
-        # sinks themselves.
+        # Node-local tracer: records ship to the launcher and merge
+        # there — nodes never touch the JSONL/console sinks themselves.
         tracer = (
-            Tracer([PipeExporter(conn, node_id)])
+            Tracer([PipeExporter(control, node_id)])
             if cfg.obs.tracing
             else NULL_TRACER
         )
-        transport = ProcTransport(
+        transport = SocketTransport(
             node_id,
             peers,
             cfg.tuple_bytes,
@@ -273,7 +331,10 @@ def _node_main(
             tracer=tracer,
             local_node=node_id,
         )
-        # The sampler generator is node-local: every child runs one,
+        registry = cluster.registries.get(node_id)
+        if registry is not None:
+            transport.attach_registry(registry)
+        # The sampler generator is node-local: every node runs one,
         # and ``local_node`` restricts it to this node's gauges.
         sid = standby_node_id(cfg) if cfg.standby else None
         mine = [
@@ -282,53 +343,118 @@ def _node_main(
             if name == "sampler" or _owner_of(name, sid) == node_id
         ]
 
-        conn.send(("ready", node_id))
-        origin = conn.recv()
+        control.send(("ready", node_id))
+        msg = control.recv(timeout=SETUP_TIMEOUT)
+        if msg[0] != "start":
+            raise RuntimeError(f"expected the start barrier, got {msg[0]!r}")
+        origin = msg[1]
+        if origin is None:
+            # Remote host: no shared monotonic clock.  Anchor t=0 to
+            # our own clock; the protocol is message-driven, so only
+            # wall-time *reporting* shifts by the (bounded) skew.
+            origin = time.monotonic() + STARTUP_GRACE
         runtime.rebase(origin)
         transport.rebase(origin)
 
         # The admin endpoint lives wherever the master runs.
         admin = (
-            start_admin_server(cfg, cluster, runtime.now, "process")
+            start_admin_server(cfg, cluster, runtime.now, cfg.backend)
             if node_id == MASTER_ID
             else None
         )
         try:
             for name, gen in mine:
                 runtime.spawn(gen, name=name)
-            # No local timeout: the parent owns the deadline and SIGKILLs
-            # stragglers, which peers then observe as EOF.
+            # No local timeout: the launcher owns the deadline and
+            # SIGKILLs stragglers, which peers then observe as EOF.
             runtime.join_all()
         finally:
             if admin is not None:
                 admin.close()
-        # Flush the trace tail before the result: the parent treats the
-        # result message as this node's end-of-stream.
+        # Flush the trace tail before the result: the launcher treats
+        # the result message as this node's end-of-stream.
         tracer.close()
         payload = _node_payload(node_id, cluster, collect_pairs)
         payload.update(_obs_payload(node_id, cluster))
-        conn.send(("result", node_id, payload))
-    except BaseException as error:  # noqa: BLE001 - shipped to the parent
-        detail = traceback.format_exc()
-        try:
-            conn.send(("error", node_id, error, detail))
-        except Exception:
-            try:
-                conn.send(("error", node_id, None, detail))
-            except Exception:
-                pass
+        control.send(("result", node_id, payload))
+    except Exception:  # noqa: BLE001 - shipped to the launcher
+        _ship_error(control, node_id)
     finally:
+        if transport is not None:
+            transport.close()
+        control.close()
+
+
+def _fork_node(
+    node_id: int,
+    cfg: SystemConfig,
+    sockets: _Sockets,
+    controls: dict[int, tuple[socket.socket, socket.socket]],
+    workload: t.Any,
+    collect_pairs: bool,
+) -> None:
+    """Forked-child entry (runs post-fork, inherits all fds)."""
+    # Keep only this node's socket ends.  Critical: a leaked foreign
+    # fd would keep a dead peer's channel open and suppress the EOF
+    # its peers and the launcher rely on for failure detection.
+    peers: dict[int, socket.socket] = {}
+    for (a, b), (sock_a, sock_b) in sockets.items():
+        if a == node_id:
+            peers[b] = sock_a
+            sock_b.close()
+        elif b == node_id:
+            peers[a] = sock_b
+            sock_a.close()
+        else:
+            sock_a.close()
+            sock_b.close()
+    for other, (launcher_end, node_end) in controls.items():
+        launcher_end.close()
+        if other != node_id:
+            node_end.close()
+    control = ControlConn(controls[node_id][1])
+    _run_node(node_id, cfg, peers, control, workload, collect_pairs)
+
+
+def _pump(nid: int, control: ControlConn, inbox: _Inbox) -> None:
+    """Start one reader thread funneling a node's control messages
+    into the launcher's inbox.  EOF (node exit, clean or killed) is
+    delivered as ``(nid, None)``."""
+
+    def pump() -> None:
+        while True:
+            try:
+                msg = control.recv(None)
+            except Exception:  # noqa: BLE001 - EOF/reset/unpickle all mean "node gone"
+                inbox.put((nid, None))
+                return
+            inbox.put((nid, msg))
+
+    threading.Thread(target=pump, name=f"control:n{nid}", daemon=True).start()
+
+
+def _next_message(
+    inbox: _Inbox, deadline: float, stuck: t.Callable[[], str]
+) -> tuple[int, t.Any]:
+    """The next ``(nid, msg)`` from the inbox; ``DeadlockError`` with
+    the ``stuck()`` message once *deadline* passes."""
+    while True:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise DeadlockError(stuck())
         try:
-            conn.close()
-        except Exception:
-            pass
+            return inbox.get(timeout=remaining)
+        except Empty:
+            continue
 
 
 class ProcessBackend:
     """One OS process per cluster node (``backend="process"``).
 
-    The only backend where slaves execute their numpy join work on
-    separate cores — the GIL bounds the thread backend to one core.
+    The only single-host backend where slaves execute their numpy join
+    work on separate cores — the GIL bounds the thread backend to one
+    core.  :meth:`run` is shared with the tcp backend, which overrides
+    only :meth:`_launch`.
     """
 
     name = "process"
@@ -345,8 +471,8 @@ class ProcessBackend:
             ctx = mp.get_context("fork")
         except ValueError as error:  # pragma: no cover - non-POSIX hosts
             raise ConfigError(
-                "the process backend requires the 'fork' start method "
-                "(POSIX only)"
+                f"the {self.name} backend requires the 'fork' start "
+                "method (POSIX only)"
             ) from error
 
         node_ids = [MASTER_ID, COLLECTOR_ID] + [
@@ -354,46 +480,25 @@ class ProcessBackend:
         ]
         if cfg.standby:
             node_ids.append(standby_node_id(cfg))
-        # Full mesh: every unordered node pair shares one socketpair.
-        # All fds exist before the first fork so every child can close
-        # exactly the foreign ones.
-        sockets: _Sockets = {}
-        for i, a in enumerate(node_ids):
-            for b in node_ids[i + 1:]:
-                sockets[(a, b)] = socket.socketpair()
-        pipes = {nid: ctx.Pipe() for nid in node_ids}
-
         procs: dict[int, t.Any] = {}
+        controls: dict[int, ControlConn] = {}
         timers: list[threading.Timer] = []
-        try:
-            for nid in node_ids:
-                proc = ctx.Process(
-                    target=_node_main,
-                    args=(nid, cfg, sockets, pipes, workload, collect_pairs),
-                    name=f"swjoin-node{nid}",
-                    daemon=True,
-                )
-                procs[nid] = proc
-                proc.start()
-        finally:
-            # The parent is pure control plane: it must hold no data
-            # sockets (a parent-held fd would suppress peer EOF), and no
-            # child ends of the pipes (EOF on a pipe = its child died).
-            for sock_a, sock_b in sockets.values():
-                sock_a.close()
-                sock_b.close()
-            for _, child_conn in pipes.values():
-                child_conn.close()
-
-        conns = {nid: parent_conn for nid, (parent_conn, _) in pipes.items()}
+        inbox: _Inbox = Queue()
         killed: set[int] = set()
         injected: list[dict[str, t.Any]] = []
         traces: dict[int, list[dict[str, t.Any]]] = {}
         try:
-            origin = self._start_barrier(conns, procs)
+            shared_clock = self._launch(
+                ctx, cfg, node_ids, workload, collect_pairs, procs, controls
+            )
+            for nid, control in controls.items():
+                _pump(nid, control, inbox)
+            origin = self._start_barrier(controls, inbox, shared_clock)
             deadline = origin + cfg.run_seconds * cfg.time_scale * 4.0 + 60.0
             timers = self._arm_crashes(cfg, origin, procs, killed, injected)
-            payloads = self._collect(conns, procs, killed, deadline, traces)
+            payloads = self._collect(
+                inbox, set(node_ids), killed, deadline, traces
+            )
         finally:
             for timer in timers:
                 timer.cancel()
@@ -401,32 +506,91 @@ class ProcessBackend:
                 if proc.is_alive():
                     proc.kill()
                 proc.join(timeout=10.0)
-            for conn in conns.values():
-                conn.close()
+            for control in controls.values():
+                control.close()
 
         return self._assemble(cfg, payloads, injected, collect_pairs, traces)
 
     # -- run phases ----------------------------------------------------------
-    def _start_barrier(
-        self, conns: dict[int, t.Any], procs: dict[int, t.Any]
-    ) -> float:
-        """Wait for every child's "ready", then broadcast the shared
-        clock origin (slightly in the future, so nobody starts late)."""
-        for nid, conn in conns.items():
-            if not conn.poll(timeout=SETUP_TIMEOUT):
-                raise DeadlockError(
-                    f"node {nid} never became ready (setup wedged)"
+    def _launch(
+        self,
+        ctx: t.Any,
+        cfg: SystemConfig,
+        node_ids: list[int],
+        workload: t.Any,
+        collect_pairs: bool,
+        procs: dict[int, t.Any],
+        controls: dict[int, ControlConn],
+    ) -> set[int]:
+        """Start every node, filling *procs* (the processes this
+        launcher may SIGKILL) and *controls*; returns the nodes that
+        share this host's monotonic clock.
+
+        Full mesh: every unordered node pair shares one socketpair,
+        and every node one more to the launcher.  All fds exist before
+        the first fork so every child can close exactly the foreign
+        ones; ``cfg`` and *workload* reach the children by fork
+        inheritance.
+        """
+        sockets: _Sockets = {}
+        for i, a in enumerate(node_ids):
+            for b in node_ids[i + 1:]:
+                sockets[(a, b)] = socket.socketpair()
+        links = {nid: socket.socketpair() for nid in node_ids}
+        try:
+            for nid in node_ids:
+                proc = ctx.Process(
+                    target=_fork_node,
+                    args=(nid, cfg, sockets, links, workload, collect_pairs),
+                    name=f"swjoin-node{nid}",
+                    daemon=True,
                 )
-            msg = conn.recv()
+                procs[nid] = proc
+                proc.start()
+        finally:
+            # The launcher is pure control plane: it must hold no data
+            # sockets (a launcher-held fd would suppress peer EOF), and
+            # no node ends of the control links (EOF = the node died).
+            for sock_a, sock_b in sockets.values():
+                sock_a.close()
+                sock_b.close()
+            for nid, (launcher_end, node_end) in links.items():
+                node_end.close()
+                controls[nid] = ControlConn(launcher_end)
+        return set(node_ids)
+
+    def _start_barrier(
+        self,
+        controls: dict[int, ControlConn],
+        inbox: _Inbox,
+        shared_clock: set[int],
+    ) -> float:
+        """Wait for every node's "ready", then broadcast the start.
+
+        The origin lies slightly in the future, so nobody starts late.
+        Nodes on another host get ``None`` and anchor to their own
+        clock (see :func:`_run_node`)."""
+        waiting = set(controls)
+        deadline = time.monotonic() + SETUP_TIMEOUT
+        while waiting:
+            nid, msg = _next_message(
+                inbox,
+                deadline,
+                lambda: f"nodes {sorted(waiting)} never became ready "
+                "(setup wedged)",
+            )
+            if msg is None:
+                raise RuntimeError(f"node {nid} died during setup")
             if msg[0] == "error":
                 self._raise_node_error(msg)
             if msg[0] != "ready":
                 raise RuntimeError(
                     f"node {nid} sent {msg[0]!r} before the start barrier"
                 )
+            waiting.discard(nid)
         origin = time.monotonic() + STARTUP_GRACE
-        for conn in conns.values():
-            conn.send(origin)
+        for nid, control in controls.items():
+            control.send(("start", origin if nid in shared_clock else None))
         return origin
 
     def _arm_crashes(
@@ -467,8 +631,8 @@ class ProcessBackend:
 
     def _collect(
         self,
-        conns: dict[int, t.Any],
-        procs: dict[int, t.Any],
+        inbox: _Inbox,
+        pending: set[int],
         killed: set[int],
         deadline: float,
         traces: dict[int, list[dict[str, t.Any]]],
@@ -479,40 +643,31 @@ class ProcessBackend:
         run and accumulate into *traces*; a node killed by the fault
         plane keeps every batch it flushed before dying."""
         payloads: dict[int, dict[str, t.Any]] = {}
-        pending = dict(conns)
         while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                for proc in procs.values():
-                    if proc.is_alive():
-                        proc.kill()
-                raise DeadlockError(
-                    f"node processes never finished: {sorted(pending)}"
-                )
-            ready = mp_connection.wait(
-                list(pending.values()), timeout=min(remaining, 1.0)
+            nid, msg = _next_message(
+                inbox,
+                deadline,
+                lambda: f"node processes never finished: {sorted(pending)}",
             )
-            for conn in ready:
-                nid = next(n for n, c in pending.items() if c is conn)
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    # Child gone without a payload: expected if and only
-                    # if the fault plane killed it.
-                    del pending[nid]
-                    if nid not in killed:
-                        raise RuntimeError(
-                            f"node {nid} process died without reporting "
-                            "a result or an error"
-                        ) from None
-                    continue
-                if msg[0] == "error":
-                    self._raise_node_error(msg)
-                if msg[0] == "trace":
-                    traces.setdefault(nid, []).extend(msg[2])
-                    continue
-                del pending[nid]
-                payloads[nid] = msg[2]
+            if nid not in pending:
+                continue  # late EOF after this node already reported
+            if msg is None:
+                # Node gone without a payload: expected if and only if
+                # the fault plane killed it.
+                pending.discard(nid)
+                if nid not in killed:
+                    raise RuntimeError(
+                        f"node {nid} process died without reporting "
+                        "a result or an error"
+                    )
+                continue
+            if msg[0] == "error":
+                self._raise_node_error(msg)
+            if msg[0] == "trace":
+                traces.setdefault(nid, []).extend(msg[2])
+                continue
+            payloads[nid] = msg[2]
+            pending.discard(nid)
         return payloads
 
     @staticmethod

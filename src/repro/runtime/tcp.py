@@ -1,10 +1,12 @@
 """True multi-host TCP backend: one worker process per cluster node,
 connected over real sockets.
 
-``backend="tcp"`` runs the same per-node worker logic as the process
-backend, but over a full-mesh of TCP connections established with the
-:mod:`repro.net.tcp_transport` handshake instead of pre-forked
-socketpairs — so nodes can live on *different hosts*.  Topology:
+``backend="tcp"`` runs the process backend's node body
+(:func:`~repro.runtime.process._run_node`) over the same
+:class:`~repro.net.proc_transport.SocketTransport`, but wires the full
+mesh with the :mod:`repro.net.tcp_transport` handshake instead of
+pre-forked socketpairs — so nodes can live on *different hosts*.
+Topology:
 
 * The launcher (``swjoin run --backend tcp``) knows every node's
   listen address.  Remote nodes come from the static ``--peers`` map
@@ -13,7 +15,8 @@ socketpairs — so nodes can live on *different hosts*.  Topology:
   ephemeral loopback port, so the single-host default needs no setup
   and CI drives the whole topology over loopback.
 * The launcher opens one **control** connection per node (handshake
-  kind ``KIND_CONTROL``) and ships the pickled
+  kind ``KIND_CONTROL``), wraps it in the process backend's
+  :class:`~repro.runtime.process.ControlConn` and ships the pickled
   :class:`WorkerJob` — config, node id, the full address map, the
   workload.  The control plane is trusted: it only ever connects a
   launcher to workers it started itself (pickle is not exposed to the
@@ -23,20 +26,14 @@ socketpairs — so nodes can live on *different hosts*.  Topology:
   accepts from every lesser id, validating each handshake.  A peer
   connection arriving before the worker knows its own node id is
   stashed and answered once the job assigns it.
-* Ready/start mirrors the process backend: all workers report ready,
-  the launcher broadcasts the shared clock origin.  Locally forked
-  workers share the launcher's ``time.monotonic()`` origin; a remote
-  worker receives ``None`` and anchors ``t=0`` to its own clock plus
-  :data:`~repro.runtime.process.STARTUP_GRACE` (skew is bounded by
-  control-message latency, and correctness never depends on clock
-  agreement — the protocol is message-driven).
+* From there on the run is the process backend's: the same ready/start
+  barrier, trace shipping, crash timers, result collection and
+  assembly.  Locally forked workers share the launcher's
+  ``time.monotonic()`` origin; a remote worker receives ``None`` and
+  anchors ``t=0`` to its own clock.
 
-Fault machinery is reused unchanged from PR 3/5: a crash fault SIGKILLs
-the (local) victim worker, its peers observe EOF → ``NodeDown``, and
-the master's timeout/fencing/backup-replay path restores the run
-losslessly under ``--replication checkpoint+log``.  Crash faults that
-name a *remote* node are rejected up front — the launcher can only
-signal processes it owns.
+Crash faults that name a *remote* node are rejected up front — the
+launcher can only signal processes it owns.
 
 Each worker serves exactly one run and exits; ``swjoin worker`` is a
 one-shot process by design (restart it per run, e.g. under a loop or a
@@ -45,47 +42,29 @@ supervisor), which keeps run isolation trivial.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import pickle
 import socket
 import threading
-import time
-import traceback
 import typing as t
 from dataclasses import dataclass
-from queue import Empty, Queue
 
 from repro.config import SystemConfig
-from repro.core.cluster import (
-    COLLECTOR_ID,
-    MASTER_ID,
-    build_cluster,
-    slave_node_id,
-    standby_node_id,
-)
-from repro.core.system import RunResult, start_admin_server
-from repro.errors import ConfigError, ConnectError, DeadlockError, WireError
-from repro.net.proc_transport import _EOF, _TIMED_OUT, FrameReader, write_frame
+from repro.core.cluster import MASTER_ID, slave_node_id
+from repro.errors import ConfigError, ConnectError, WireError
 from repro.net.tcp_transport import (
     HANDSHAKE_TIMEOUT,
     KIND_CONTROL,
     KIND_PEER,
-    TcpTransport,
     connect_with_retry,
     read_hello,
     send_hello,
 )
-from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.process import (
-    PipeExporter,
-    ProcessBackend,
     SETUP_TIMEOUT,
-    STARTUP_GRACE,
-    _node_payload,
-    _obs_payload,
-    _owner_of,
+    ControlConn,
+    ProcessBackend,
+    _run_node,
+    _ship_error,
 )
-from repro.runtime.thread import ThreadRuntime, reject_unsupported
 from repro.simul.rng import RngRegistry
 
 #: Listen backlog: the whole mesh may connect while a worker is busy.
@@ -110,40 +89,6 @@ class WorkerJob:
     addresses: dict[int, tuple[str, int]]
     collect_pairs: bool
     workload: t.Any
-
-
-class ControlConn:
-    """Pickled-object control plane over one length-prefixed stream.
-
-    Gives the launcher<->worker link the same ``send(obj)``/``recv()``
-    surface as a multiprocessing pipe, so :class:`PipeExporter` and the
-    process backend's payload protocol work verbatim over TCP.
-    """
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self._reader = FrameReader(sock)
-        self._lock = threading.Lock()
-
-    def send(self, obj: t.Any) -> None:
-        payload = pickle.dumps(obj)
-        with self._lock:
-            write_frame(self.sock, payload)
-
-    def recv(self, timeout: float | None = None) -> t.Any:
-        frame = self._reader.read_frame(timeout)
-        if frame is _EOF:
-            raise EOFError("control connection closed")
-        if frame is _TIMED_OUT:
-            raise TimeoutError(f"no control message within {timeout:g}s")
-        return pickle.loads(frame)
-
-    def close(self) -> None:
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self.sock.close()
 
 
 # -- worker side -------------------------------------------------------------
@@ -254,102 +199,30 @@ def _establish_mesh(
 def worker_main(listen_sock: socket.socket) -> None:
     """Serve exactly one cluster node over *listen_sock*.
 
-    Mirrors the process backend's ``_node_main`` with the pipe replaced
-    by a :class:`ControlConn` and the inherited socketpairs replaced by
-    the handshaken TCP mesh.  Errors (including setup failures) ship to
-    the launcher as ``("error", node_id, exception, traceback)``.
+    Waits for the launcher's job, builds the handshaken TCP mesh, then
+    runs the process backend's node body.  Errors (including setup
+    failures) ship to the launcher as ``("error", node_id, exception,
+    traceback)``.
     """
     listen_sock.listen(_BACKLOG)
     control, stash = _await_control(listen_sock)
     node_id = -1
-    transport = None
     try:
         msg = control.recv(timeout=SETUP_TIMEOUT)
         if msg[0] != "job":
             raise RuntimeError(f"expected a job, got {msg[0]!r}")
         job: WorkerJob = msg[1]
         node_id = job.node_id
-        cfg = job.cfg
         peers = _establish_mesh(
-            node_id, cfg, job.addresses, listen_sock, stash
+            node_id, job.cfg, job.addresses, listen_sock, stash
         )
-
-        runtime = ThreadRuntime(time_scale=cfg.time_scale)
-        tracer = (
-            Tracer([PipeExporter(control, node_id)])
-            if cfg.obs.tracing
-            else NULL_TRACER
-        )
-        transport = TcpTransport(
-            node_id,
-            peers,
-            cfg.tuple_bytes,
-            time_scale=cfg.time_scale,
-            tracer=tracer if cfg.obs.trace_transport else NULL_TRACER,
-            now_fn=runtime.now,
-        )
-        cluster = build_cluster(
-            cfg,
-            runtime,
-            transport,
-            workload=job.workload,
-            collect_pairs=job.collect_pairs,
-            tracer=tracer,
-            local_node=node_id,
-        )
-        registry = cluster.registries.get(node_id)
-        if registry is not None:
-            transport.attach_registry(registry)
-        sid = standby_node_id(cfg) if cfg.standby else None
-        mine = [
-            (name, gen)
-            for name, gen in cluster.processes()
-            if name == "sampler" or _owner_of(name, sid) == node_id
-        ]
-
-        control.send(("ready", node_id))
-        msg = control.recv(timeout=SETUP_TIMEOUT)
-        if msg[0] != "start":
-            raise RuntimeError(f"expected the start barrier, got {msg[0]!r}")
-        origin = msg[1]
-        if origin is None:
-            # Remote host: no shared monotonic clock.  Anchor t=0 to
-            # our own clock; the protocol is message-driven, so only
-            # wall-time *reporting* shifts by the (bounded) skew.
-            origin = time.monotonic() + STARTUP_GRACE
-        runtime.rebase(origin)
-        transport.rebase(origin)
-
-        admin = (
-            start_admin_server(cfg, cluster, runtime.now, "tcp")
-            if node_id == MASTER_ID
-            else None
-        )
-        try:
-            for name, gen in mine:
-                runtime.spawn(gen, name=name)
-            runtime.join_all()
-        finally:
-            if admin is not None:
-                admin.close()
-        tracer.close()
-        payload = _node_payload(node_id, cluster, job.collect_pairs)
-        payload.update(_obs_payload(node_id, cluster))
-        payload["tcp"] = transport.pair_stats()
-        control.send(("result", node_id, payload))
-    except BaseException as error:  # noqa: BLE001 - shipped to the launcher
-        detail = traceback.format_exc()
-        try:
-            control.send(("error", node_id, error, detail))
-        except Exception:
-            try:
-                control.send(("error", node_id, None, detail))
-            except Exception:
-                pass
-    finally:
-        if transport is not None:
-            transport.close()
+    except Exception:  # noqa: BLE001 - shipped to the launcher
+        _ship_error(control, node_id)
         control.close()
+        return
+    _run_node(
+        node_id, job.cfg, peers, control, job.workload, job.collect_pairs
+    )
 
 
 def serve_worker(host: str, port: int) -> int:
@@ -392,35 +265,24 @@ def _local_worker(
 class TcpBackend(ProcessBackend):
     """One worker per cluster node over TCP (``backend="tcp"``).
 
-    Inherits the process backend's crash timers, error surfacing, trace
-    merging and result assembly; replaces fork-inherited socketpairs
-    and pipes with handshaken TCP connections so workers may live on
-    other hosts.
+    Runs the process backend's launcher phases unchanged; only
+    :meth:`_launch` differs, replacing fork-inherited socketpairs with
+    handshaken TCP connections so workers may live on other hosts.
     """
 
     name = "tcp"
     supports_observability = True
 
-    def run(
+    def _launch(
         self,
+        ctx: t.Any,
         cfg: SystemConfig,
-        collect_pairs: bool = False,
-        workload: t.Any = None,
-    ) -> RunResult:
-        reject_unsupported(cfg, self.name, crash_ok=True)
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError as error:  # pragma: no cover - non-POSIX hosts
-            raise ConfigError(
-                "the tcp backend requires the 'fork' start method for "
-                "its local workers (POSIX only)"
-            ) from error
-
-        node_ids = [MASTER_ID, COLLECTOR_ID] + [
-            slave_node_id(i) for i in range(cfg.num_slaves)
-        ]
-        if cfg.standby:
-            node_ids.append(standby_node_id(cfg))
+        node_ids: list[int],
+        workload: t.Any,
+        collect_pairs: bool,
+        procs: dict[int, t.Any],
+        controls: dict[int, ControlConn],
+    ) -> set[int]:
         remote = {
             nid: parse_hostport(addr) for nid, addr in cfg.tcp_peers
         }
@@ -456,9 +318,6 @@ class TcpBackend(ProcessBackend):
             sock.listen(_BACKLOG)
             listeners[nid] = sock
             addresses[nid] = sock.getsockname()[:2]
-
-        procs: dict[int, t.Any] = {}
-        timers: list[threading.Timer] = []
         try:
             for nid in local_ids:
                 proc = ctx.Process(
@@ -473,154 +332,22 @@ class TcpBackend(ProcessBackend):
             for sock in listeners.values():
                 sock.close()
 
-        controls: dict[int, ControlConn] = {}
-        inbox: "Queue[tuple[int, t.Any]]" = Queue()
-        killed: set[int] = set()
-        injected: list[dict[str, t.Any]] = []
-        traces: dict[int, list[dict[str, t.Any]]] = {}
-        try:
-            rng = RngRegistry(cfg.seed)
-            for nid in node_ids:
-                sock = connect_with_retry(
-                    addresses[nid],
-                    KIND_CONTROL,
-                    -1,
-                    rng=rng.get(f"tcp.backoff.control->{nid}"),
-                )
-                controls[nid] = ControlConn(sock)
-                controls[nid].send(
-                    ("job", WorkerJob(
-                        node_id=nid,
-                        cfg=cfg,
-                        addresses=addresses,
-                        collect_pairs=collect_pairs,
-                        workload=workload,
-                    ))
-                )
-                self._start_pump(nid, controls[nid], inbox)
-            origin = self._tcp_start_barrier(
-                controls, inbox, set(local_ids)
+        rng = RngRegistry(cfg.seed)
+        for nid in node_ids:
+            sock = connect_with_retry(
+                addresses[nid],
+                KIND_CONTROL,
+                -1,
+                rng=rng.get(f"tcp.backoff.control->{nid}"),
             )
-            deadline = origin + cfg.run_seconds * cfg.time_scale * 4.0 + 60.0
-            timers = self._arm_crashes(cfg, origin, procs, killed, injected)
-            payloads = self._collect_tcp(
-                inbox, set(node_ids), procs, killed, deadline, traces
+            controls[nid] = ControlConn(sock)
+            controls[nid].send(
+                ("job", WorkerJob(
+                    node_id=nid,
+                    cfg=cfg,
+                    addresses=addresses,
+                    collect_pairs=collect_pairs,
+                    workload=workload,
+                ))
             )
-        finally:
-            for timer in timers:
-                timer.cancel()
-            for proc in procs.values():
-                if proc.is_alive():
-                    proc.kill()
-                proc.join(timeout=10.0)
-            for control in controls.values():
-                control.close()
-
-        return self._assemble(cfg, payloads, injected, collect_pairs, traces)
-
-    # -- run phases ----------------------------------------------------------
-    @staticmethod
-    def _start_pump(
-        nid: int, control: ControlConn, inbox: "Queue[tuple[int, t.Any]]"
-    ) -> None:
-        """One reader thread per control connection, funneling messages
-        into the shared inbox.  EOF (worker exit, clean or killed) is
-        delivered as ``(nid, None)``."""
-
-        def pump() -> None:
-            while True:
-                try:
-                    msg = control.recv(None)
-                except Exception:  # noqa: BLE001 - EOF/reset/unpickle all mean "worker gone"
-                    inbox.put((nid, None))
-                    return
-                inbox.put((nid, msg))
-
-        thread = threading.Thread(
-            target=pump, name=f"tcp-control:n{nid}", daemon=True
-        )
-        thread.start()
-
-    def _tcp_start_barrier(
-        self,
-        controls: dict[int, ControlConn],
-        inbox: "Queue[tuple[int, t.Any]]",
-        local_ids: set[int],
-    ) -> float:
-        """Wait for every worker's "ready", then broadcast the start.
-
-        Local forked workers share the launcher's monotonic clock and
-        get the real origin; remote workers get ``None`` and anchor to
-        their own clock (see :func:`worker_main`)."""
-        waiting = set(controls)
-        deadline = time.monotonic() + SETUP_TIMEOUT
-        while waiting:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise DeadlockError(
-                    f"tcp workers never became ready: {sorted(waiting)}"
-                )
-            try:
-                nid, msg = inbox.get(timeout=min(remaining, 1.0))
-            except Empty:
-                continue
-            if msg is None:
-                raise RuntimeError(
-                    f"node {nid} worker died during setup"
-                )
-            if msg[0] == "error":
-                self._raise_node_error(msg)
-            if msg[0] != "ready":
-                raise RuntimeError(
-                    f"node {nid} sent {msg[0]!r} before the start barrier"
-                )
-            waiting.discard(nid)
-        origin = time.monotonic() + STARTUP_GRACE
-        for nid, control in controls.items():
-            control.send(("start", origin if nid in local_ids else None))
-        return origin
-
-    def _collect_tcp(
-        self,
-        inbox: "Queue[tuple[int, t.Any]]",
-        node_set: set[int],
-        procs: dict[int, t.Any],
-        killed: set[int],
-        deadline: float,
-        traces: dict[int, list[dict[str, t.Any]]],
-    ) -> dict[int, dict[str, t.Any]]:
-        """Gather result payloads until every node reported or died."""
-        payloads: dict[int, dict[str, t.Any]] = {}
-        pending = set(node_set)
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                for proc in procs.values():
-                    if proc.is_alive():
-                        proc.kill()
-                raise DeadlockError(
-                    f"tcp workers never finished: {sorted(pending)}"
-                )
-            try:
-                nid, msg = inbox.get(timeout=min(remaining, 1.0))
-            except Empty:
-                continue
-            if nid not in pending:
-                continue  # late EOF after this node already reported
-            if msg is None:
-                pending.discard(nid)
-                if nid not in killed:
-                    raise RuntimeError(
-                        f"node {nid} tcp worker died without reporting "
-                        "a result or an error"
-                    )
-                continue
-            if msg[0] == "error":
-                self._raise_node_error(msg)
-            if msg[0] == "trace":
-                traces.setdefault(nid, []).extend(msg[2])
-                continue
-            if msg[0] == "result":
-                payloads[nid] = msg[2]
-                pending.discard(nid)
-        return payloads
+        return set(local_ids)

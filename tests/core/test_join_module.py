@@ -206,6 +206,48 @@ class TestProcessing:
         module._rearm_watermark()
         assert module._oldest_pending_ts == 40.0
 
+    @pytest.mark.parametrize("scan", ["drain", "rearm"])
+    def test_enqueue_during_watermark_scan(self, geometry, scan):
+        """Regression: on the wall-clock backends the slave's receive
+        thread files shipments (``enqueue``) without the state lock, so
+        one can land in a mini-buffer while the join pass scans that
+        very deque for the watermark.  The scan once raised
+        ``RuntimeError: deque mutated during iteration``."""
+        from repro.data.tuples import TupleBatch
+
+        module, _ = make_module(geometry, npart=1)
+        late = Shipment(
+            3, 4.0, 6.0,
+            TupleBatch.build(ts=[4.5], key=[2], seq=[30], stream=0),
+        )
+
+        class EnqueueOnScan:
+            """A queued batch whose timestamp read files *late*, as the
+            receive thread may at that instant."""
+
+            fired = False
+
+            @property
+            def ts(self):
+                if not self.fired:
+                    self.fired = True
+                    module.enqueue(late)
+                return np.array([3.0])
+
+        first = TupleBatch.build(ts=[1.0], key=[1], seq=[1], stream=0)
+        module.enqueue(Shipment(0, 0.0, 2.0, first))
+        queue = module._minibuffers[0]
+        queue.append(EnqueueOnScan())
+        if scan == "drain":
+            drained = module._drain()
+            assert drained[0].ts.tolist() == [1.0]
+            assert module._oldest_pending_ts == 3.0
+        else:
+            module._rearm_watermark()
+            assert module._oldest_pending_ts == 1.0
+        # The late shipment was filed, behind the scanned batch.
+        assert queue[-1].ts.tolist() == [4.5]
+
     def test_fine_tuning_splits_under_load(self, geometry):
         module, metrics = make_module(geometry, npart=1)
         for epoch in range(5):

@@ -1,4 +1,4 @@
-"""Hostile-network fuzzing for the framing layer and TCP receive path.
+"""Hostile-network fuzzing for the framing layer and the socket receive path.
 
 Property under test: no malformed input — arbitrary chunking, torn or
 truncated frames, corrupted magic/version/length bytes, interleaved
@@ -25,9 +25,9 @@ from repro.net.proc_transport import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
     FrameReader,
+    SocketTransport,
     write_frame,
 )
-from repro.net.tcp_transport import TcpTransport
 from repro.net.wire import MAGIC, WIRE_VERSION, decode_message, encode_message
 
 FUZZ = settings(max_examples=50, deadline=None)
@@ -147,7 +147,7 @@ class TestFrameReaderFuzz:
 class TestTcpReceivePathFuzz:
     def _pair(self):
         sa, sb = socket.socketpair()
-        transport = TcpTransport(2, {0: sb}, 64)
+        transport = SocketTransport(2, {0: sb}, 64)
         return sa, transport
 
     @FUZZ
@@ -179,7 +179,7 @@ class TestTcpReceivePathFuzz:
     @FUZZ
     @given(cut_frac=st.floats(0.0, 1.0, exclude_max=True))
     def test_torn_frame_resolves_to_node_down(self, cut_frac):
-        # Peer dies mid-frame on a real socket: the TCP endpoint must
+        # Peer dies mid-frame on a real socket: the endpoint must
         # resolve to NodeDown, never hand the codec a partial payload.
         sa, transport = self._pair()
         try:

@@ -1,9 +1,9 @@
-"""Unit suite for the TCP transport primitives.
+"""Unit suite for the TCP connector.
 
-Covers the connect handshake (version/magic/identity rejection), the
-bounded retry with its deterministic RNG-substream backoff schedule,
-dead-peer send resolving to ``NodeDown``, peer-EOF fail-stop, and the
-per-pair byte/frame counters feeding the metrics registry.
+Covers the connect handshake (version/magic/identity rejection) and
+the bounded retry with its deterministic RNG-substream backoff
+schedule, then runs the shared channel suite
+(:mod:`tests.net.channel_suite`) over handshaken loopback TCP.
 """
 
 from __future__ import annotations
@@ -14,31 +14,29 @@ import time
 
 import pytest
 
-from repro.core.protocol import Halt, MoveAck
+from repro.core.protocol import Halt
 from repro.errors import ConnectError, WireError
-from repro.faults.markers import NodeDown
-from repro.net.proc_transport import FRAME_HEADER, FrameReader, write_frame
+from repro.net.proc_transport import FrameReader, write_frame
 from repro.net.tcp_transport import (
     BACKOFF_CAP_S,
     HELLO,
     KIND_CONTROL,
     KIND_PEER,
-    TcpTransport,
     backoff_schedule,
     connect_with_retry,
     read_hello,
     send_hello,
 )
 from repro.net.wire import MAGIC, WIRE_VERSION, encode_message
-from repro.obs.metrics import MetricsRegistry
 from repro.simul.rng import RngRegistry
-
-
-def make_pair(a=0, b=2, tuple_bytes=64):
-    sa, sb = socket.socketpair()
-    ta = TcpTransport(a, {b: sa}, tuple_bytes)
-    tb = TcpTransport(b, {a: sb}, tuple_bytes)
-    return ta, tb
+from tests.net.channel_suite import (
+    Drain,
+    FailureSemantics,
+    Framing,
+    PairCounters,
+    Stats,
+    TcpLink,
+)
 
 
 def free_port() -> int:
@@ -188,69 +186,22 @@ class TestConnectRetry:
         listener.close()
 
 
-class TestFailureSemantics:
-    def test_send_to_dead_peer_resolves_to_node_down(self):
-        ta, tb = make_pair()
-        tb.close()
-        ea = ta.endpoint(0)
-        # The first send may land in the kernel buffer (None); once the
-        # broken pipe is visible every send resolves to NodeDown — and
-        # none of them raises (silent-completion model preserved).
-        results = [ea.send(2, Halt(k)).run() for k in range(8)]
-        assert NodeDown(2) in results
-        assert set(results) <= {None, NodeDown(2)}
-        ta.close()
-
-    def test_peer_eof_maps_to_node_down(self):
-        ta, tb = make_pair()
-        ta.close()
-        assert tb.endpoint(2).recv(0).run() == NodeDown(0)
-        tb.close()
-
-    def test_buffered_frames_delivered_before_eof(self):
-        ta, tb = make_pair()
-        ta.endpoint(0).send(2, MoveAck(3, "supplier")).run()
-        ta.close()
-        eb = tb.endpoint(2)
-        assert eb.recv(0).run() == MoveAck(3, "supplier")
-        assert eb.recv(0).run() == NodeDown(0)
-        tb.close()
+# -- the shared channel suite over loopback TCP ------------------------------
+class TestFraming(TcpLink, Framing):
+    pass
 
 
-class TestPairCounters:
-    def test_tallies_track_frames_and_wire_bytes(self):
-        ta, tb = make_pair()
-        ea, eb = ta.endpoint(0), tb.endpoint(2)
-        payloads = [encode_message(Halt(k)) for k in range(3)]
-        for k in range(3):
-            ea.send(2, Halt(k)).run()
-        for _ in range(3):
-            eb.recv(0).run()
-        expected = sum(FRAME_HEADER.size + len(p) for p in payloads)
-        assert ta.pair_stats()[2] == {
-            "tx_frames": 3, "tx_bytes": expected,
-            "rx_frames": 0, "rx_bytes": 0,
-        }
-        assert tb.pair_stats()[0] == {
-            "tx_frames": 0, "tx_bytes": 0,
-            "rx_frames": 3, "rx_bytes": expected,
-        }
-        ta.close(), tb.close()
+class TestFailureSemantics(TcpLink, FailureSemantics):
+    pass
 
-    def test_registry_counters_mirror_tallies(self):
-        ta, tb = make_pair()
-        registry = MetricsRegistry(2)
-        # Attach after traffic already flowed: pre-attach counts must
-        # be replayed, post-attach traffic increments live.
-        ta.endpoint(0).send(2, Halt(0)).run()
-        tb.endpoint(2).recv(0).run()
-        tb.attach_registry(registry)
-        ta.endpoint(0).send(2, Halt(1)).run()
-        tb.endpoint(2).recv(0).run()
-        snapshot = registry.snapshot()
-        assert snapshot["tcp.rx_frames.from_n0"]["value"] == 2
-        assert (
-            snapshot["tcp.rx_bytes.from_n0"]["value"]
-            == tb.pair_stats()[0]["rx_bytes"]
-        )
-        ta.close(), tb.close()
+
+class TestDrain(TcpLink, Drain):
+    pass
+
+
+class TestStats(TcpLink, Stats):
+    pass
+
+
+class TestPairCounters(TcpLink, PairCounters):
+    pass
