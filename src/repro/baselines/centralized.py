@@ -15,9 +15,10 @@ import typing as t
 from repro.config import SystemConfig
 from repro.core.costmodel import CostModel
 from repro.core.join_module import JoinModule
-from repro.core.metrics import DelayStats, MeasurementWindow, SlaveMetrics
+from repro.core.metrics import MeasurementWindow, SlaveMetrics
 from repro.core.partition_group import JoinGeometry
 from repro.core.protocol import Shipment
+from repro.obs.metrics import Histogram
 from repro.runtime.sim import SimRuntime
 from repro.simul.kernel import Simulator
 from repro.simul.rng import RngRegistry
@@ -28,7 +29,7 @@ from repro.workload.generator import TwoStreamWorkload
 class CentralizedResult:
     cfg: SystemConfig
     duration: float
-    delays: DelayStats
+    delays: Histogram
     cpu_total: float
     max_window_bytes: int
     tuples_processed: int

@@ -15,11 +15,12 @@ import typing as t
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.core.metrics import DelayStats, MeasurementWindow, SlaveMetrics
+from repro.core.metrics import MeasurementWindow, SlaveMetrics
 from repro.core.protocol import Halt, Shipment
 from repro.errors import DeadlockError
 from repro.mp.comm import Communicator
 from repro.net.sim_transport import SimTransport
+from repro.obs.metrics import Histogram
 from repro.runtime.sim import SimRuntime
 from repro.simul.kernel import Simulator
 from repro.simul.rng import RngRegistry
@@ -38,7 +39,7 @@ class BaselineResult:
     cfg: SystemConfig
     name: str
     duration: float
-    delays: DelayStats
+    delays: Histogram
     slaves: list[dict[str, t.Any]]
     master_comm_time: float
     tuples_generated: int
@@ -230,7 +231,7 @@ def run_baseline(
     if stuck:
         raise DeadlockError(f"{name}: processes never finished: {stuck}")
 
-    merged = DelayStats()
+    merged = Histogram()
     for m in slave_metrics:
         merged.merge(m.delays)
     pairs = None

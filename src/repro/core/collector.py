@@ -5,20 +5,21 @@ query results for delivery to users (Figure 1).  Here each slave sends
 a per-epoch :class:`~repro.core.protocol.ResultReport` carrying a delay
 statistics snapshot; the collector runs one receiver process per slave
 (they terminate on the slave's Halt) and merges everything into a
-global :class:`~repro.core.metrics.DelayStats` — which must equal the
-sum of the slaves' local statistics, a property the integration tests
-assert.
+global :class:`~repro.obs.metrics.Histogram` — which must equal the
+sum of the slaves' local statistics, bin for bin, a property the
+integration tests assert.
 """
 
 from __future__ import annotations
 
 import typing as t
 
-from repro.core.metrics import DelayStats, MeasurementWindow
+from repro.core.metrics import MeasurementWindow
 from repro.core.protocol import Halt, ResultReport
 from repro.errors import ProtocolError
 from repro.faults.markers import NodeDown
 from repro.mp.comm import Communicator
+from repro.obs.metrics import Histogram
 
 
 class CollectorMetrics:
@@ -60,18 +61,18 @@ class CollectorNode:
         self.comm = comm
         self.metrics = metrics
         self.slave_ids = sorted(slave_ids)
-        self.delays = DelayStats()
+        self.delays = Histogram()
         self.reports_received = 0
         self.per_slave_outputs: dict[int, int] = {s: 0 for s in self.slave_ids}
-        #: Per-epoch merged statistics: epoch -> DelayStats (the
-        #: delay/throughput timeline of the run).
-        self.timeline: dict[int, DelayStats] = {}
+        #: Per-epoch ``(outputs, total_delay)``: the delay/throughput
+        #: timeline of the run.
+        self.timeline: dict[int, tuple[int, float]] = {}
 
     def timeline_rows(self) -> list[tuple[int, int, float]]:
         """Sorted ``(epoch, outputs, mean_delay)`` rows."""
         return [
-            (epoch, stats.count, stats.mean)
-            for epoch, stats in sorted(self.timeline.items())
+            (epoch, outputs, total / outputs)
+            for epoch, (outputs, total) in sorted(self.timeline.items())
         ]
 
     def processes(self) -> list[t.Generator]:
@@ -92,9 +93,12 @@ class CollectorNode:
                     f"got {type(msg).__name__}"
                 )
             self.reports_received += 1
-            stats: DelayStats = msg.stats
+            stats: Histogram = msg.stats
             self.per_slave_outputs[slave] += stats.count
             self.delays.merge(stats)
             if stats.count:
-                bucket = self.timeline.setdefault(msg.epoch, DelayStats())
-                bucket.merge(stats)
+                outputs, total = self.timeline.get(msg.epoch, (0, 0.0))
+                self.timeline[msg.epoch] = (
+                    outputs + stats.count,
+                    total + stats.total,
+                )

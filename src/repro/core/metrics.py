@@ -21,11 +21,11 @@ import typing as t
 
 import numpy as np
 
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.metrics import NULL_REGISTRY, Histogram, MetricsRegistry
 from repro.obs.sampler import Reservoir
 
-#: Log-spaced delay histogram edges, seconds (1 ms .. ~17 min).
-DELAY_BIN_EDGES: np.ndarray = np.logspace(-3, 3, 61)
+#: The production-delay statistics, under their historical name.
+DelayStats = Histogram
 
 #: Bound on the per-slave occupancy sample reservoir.  Occupancy is
 #: sampled once per distribution epoch for the whole run (not gated),
@@ -50,80 +50,6 @@ class MeasurementWindow:
         return max(0.0, min(t1, self.stop) - max(t0, self.start))
 
 
-class DelayStats:
-    """Streaming statistics over production delays."""
-
-    __slots__ = ("count", "total", "minimum", "maximum", "histogram")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.minimum = float("inf")
-        self.maximum = 0.0
-        self.histogram = np.zeros(len(DELAY_BIN_EDGES) + 1, dtype=np.int64)
-
-    def record(self, delays: np.ndarray) -> None:
-        n = len(delays)
-        if n == 0:
-            return
-        self.count += n
-        self.total += float(delays.sum())
-        self.minimum = min(self.minimum, float(delays.min()))
-        self.maximum = max(self.maximum, float(delays.max()))
-        self.histogram += np.bincount(
-            np.searchsorted(DELAY_BIN_EDGES, delays), minlength=len(self.histogram)
-        )[: len(self.histogram)]
-
-    def merge(self, other: "DelayStats") -> None:
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-        self.histogram += other.histogram
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Approximate percentile from the log-spaced histogram.
-
-        Interpolates linearly within the bin the *q*-th sample falls
-        into; ``q >= 100`` returns the exact observed maximum.  The
-        result is clamped to the observed ``[minimum, maximum]`` so the
-        histogram's fixed edges never widen the reported range.
-        """
-        if self.count == 0:
-            return 0.0
-        if q >= 100.0:
-            return self.maximum
-        target = max(q, 0.0) / 100.0 * self.count
-        cum = np.cumsum(self.histogram)
-        idx = int(np.searchsorted(cum, target, side="left"))
-        idx = min(idx, len(self.histogram) - 1)
-        below = float(cum[idx - 1]) if idx > 0 else 0.0
-        in_bin = float(cum[idx]) - below
-        frac = (target - below) / in_bin if in_bin > 0 else 0.0
-        lo = float(DELAY_BIN_EDGES[idx - 1]) if idx > 0 else 0.0
-        hi = (
-            float(DELAY_BIN_EDGES[idx])
-            if idx < len(DELAY_BIN_EDGES)
-            else self.maximum
-        )
-        value = lo + frac * (hi - lo)
-        return float(min(max(value, self.minimum), self.maximum))
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "count": float(self.count),
-            "mean": self.mean,
-            "min": self.minimum if self.count else 0.0,
-            "max": self.maximum,
-            "p50": self.percentile(50),
-            "p99": self.percentile(99),
-        }
-
-
 class SlaveMetrics:
     """Per-slave counters, gated on the measurement window.
 
@@ -133,7 +59,8 @@ class SlaveMetrics:
     admin endpoint's ``/metrics`` and
     :attr:`~repro.core.system.RunResult.node_metrics`, updated behind
     ``registry.enabled`` (rule OBS002) so disabled runs pay only the
-    branch.
+    branch.  ``delays`` is recorded once per flush; with metrics on it
+    is itself the registered ``production_delay_seconds`` histogram.
     """
 
     def __init__(
@@ -147,9 +74,6 @@ class SlaveMetrics:
         self.registry = registry
         self.m_outputs = registry.counter(
             "outputs", "joined output tuples emitted (gated)"
-        )
-        self.m_delay = registry.histogram(
-            "production_delay_seconds", "production delay of emitted outputs"
         )
         self.m_messages = registry.counter(
             "messages", "transport messages sent or received (gated)"
@@ -166,10 +90,12 @@ class SlaveMetrics:
         self.m_occupancy = registry.gauge(
             "occupancy", "stream-tuple buffer occupancy [0, 1]"
         )
-        self.delays = DelayStats()
-        #: Outputs not yet reported to the collector (same gating as
-        #: ``delays`` so collector totals match local totals exactly).
-        self.unreported = DelayStats()
+        self.delays = registry.histogram(
+            "production_delay_seconds", "production delay of emitted outputs"
+        )
+        #: Bins and total of ``delays`` already reported to the collector.
+        self._reported_bins = np.zeros_like(self.delays.histogram)
+        self._reported_total = 0.0
         # CPU accounting (seconds of modeled work inside the gate).
         self.cpu_probe = 0.0
         self.cpu_expire = 0.0
@@ -224,17 +150,29 @@ class SlaveMetrics:
         if len(newer_ts) == 0 or not self.gate.active(emit_time):
             return
         self.outputs_emitted += len(newer_ts)
-        delays = emit_time - newer_ts
-        self.delays.record(delays)
-        self.unreported.record(delays)
+        self.delays.observe_many(emit_time - newer_ts)
         if self.registry.enabled:
             self.m_outputs.inc(len(newer_ts))
-            self.m_delay.observe_many(delays.tolist())
 
-    def pop_unreported(self) -> DelayStats:
-        """Drain the outputs accumulated since the last collector report."""
-        stats, self.unreported = self.unreported, DelayStats()
-        return stats
+    def pop_unreported(self) -> Histogram:
+        """``delays`` minus what the collector has already been sent.
+
+        On wall backends the join thread may record meanwhile, so the
+        bins are read once and the count derived from them: a report's
+        bins always sum to its count.  Bins are read before the extrema,
+        which ``observe_many`` updates first, so the cumulative
+        minimum/maximum shipped cover every reported value and leave the
+        collector's global extrema unchanged.
+        """
+        now = self.delays
+        bins, total = now.histogram.copy(), now.total
+        interval = Histogram()
+        interval.histogram = bins - self._reported_bins
+        interval.count = int(interval.histogram.sum())
+        interval.total = total - self._reported_total
+        interval.minimum, interval.maximum = now.minimum, now.maximum
+        self._reported_bins, self._reported_total = bins, total
+        return interval
 
     def record_pairs(self, pid: int, rows: np.ndarray) -> None:
         """File collected join pairs under their partition."""
@@ -311,7 +249,7 @@ class SlaveMetrics:
             "splits": self.splits,
             "merges": self.merges,
             "disk_bytes_read": self.disk_bytes_read,
-            "delay": self.delays.snapshot(),
+            "delay": self.delays.summary(),
         }
 
 

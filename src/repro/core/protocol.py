@@ -163,13 +163,13 @@ class Activate(Message):
 class ResultReport(Message):
     """Slave -> collector: per-epoch output statistics.
 
-    The collector merges statistics (a :class:`~repro.core.metrics.DelayStats`
-    snapshot) rather than raw result tuples — see DESIGN.md, "known
+    The collector merges statistics (a :class:`~repro.obs.metrics.Histogram`
+    interval) rather than raw result tuples — see DESIGN.md, "known
     deviations".
     """
 
     epoch: int
-    stats: t.Any  # DelayStats
+    stats: t.Any  # Histogram
 
     def wire_bytes(self, tuple_bytes: int) -> int:
         return RESULT_REPORT_BYTES

@@ -41,9 +41,9 @@ from repro.core.cluster import (
     slave_node_id,
     trace_meta,
 )
-from repro.core.metrics import DelayStats
 from repro.errors import ConfigError, DeadlockError
 from repro.net.sim_transport import SimTransport
+from repro.obs.metrics import Histogram
 from repro.obs.tracer import NULL_TRACER, build_tracer
 from repro.runtime.sim import SimRuntime
 from repro.simul.kernel import Simulator
@@ -73,9 +73,9 @@ class RunResult:
     #: Wall duration of the measurement window (seconds).
     duration: float
     #: Merged production-delay statistics over all slaves.
-    delays: DelayStats
+    delays: Histogram
     #: The collector's independently merged view (must match `delays`).
-    collector_delays: DelayStats
+    collector_delays: Histogram
     #: Per-slave metric snapshots (ordered by slave index).
     slaves: list[dict[str, t.Any]]
     master: dict[str, t.Any]
@@ -477,7 +477,7 @@ def collect_result(
 ) -> RunResult:
     """Assemble a :class:`RunResult` from a finished cluster's metrics
     (shared by the sim and thread backends)."""
-    merged = DelayStats()
+    merged = Histogram()
     for metrics in cluster.slave_metrics:
         merged.merge(metrics.delays)
 

@@ -28,7 +28,7 @@ per-element work.
 The codec is deliberately closed-world: only the message types of the
 fixed communication schedule (plus their payload structures
 :class:`~repro.data.tuples.TupleBatch`,
-:class:`~repro.core.metrics.DelayStats`,
+:class:`~repro.obs.metrics.Histogram`,
 :class:`~repro.core.partition_group.PartitionGroupState`) can travel.
 Encoding any other object raises :class:`~repro.errors.WireError`.
 """
@@ -40,7 +40,6 @@ import typing as t
 
 import numpy as np
 
-from repro.core.metrics import DelayStats
 from repro.core.partition_group import GroupState, PartitionGroupState
 from repro.core.protocol import (
     Activate,
@@ -70,6 +69,7 @@ from repro.data.tuples import (
     TupleBatch,
 )
 from repro.errors import WireError
+from repro.obs.metrics import Histogram
 
 __all__ = ["WIRE_VERSION", "MAGIC", "encode_message", "decode_message"]
 
@@ -209,7 +209,7 @@ def _get_batch(r: _Reader) -> TupleBatch:
     )
 
 
-def _put_delay_stats(w: _Writer, stats: DelayStats) -> None:
+def _put_delay_stats(w: _Writer, stats: Histogram) -> None:
     w.i64(stats.count)
     w.f64(stats.total)
     w.f64(stats.minimum)
@@ -217,17 +217,26 @@ def _put_delay_stats(w: _Writer, stats: DelayStats) -> None:
     w.array(stats.histogram)
 
 
-def _get_delay_stats(r: _Reader) -> DelayStats:
-    stats = DelayStats()
+def _get_delay_stats(r: _Reader) -> Histogram:
+    stats = Histogram()
     stats.count = r.i64()
     stats.total = r.f64()
     stats.minimum = r.f64()
     stats.maximum = r.f64()
     histogram = r.array().astype(np.int64, copy=False)
+    if stats.count < 0:
+        raise WireError(f"delay stats count is negative: {stats.count}")
     if len(histogram) != len(stats.histogram):
         raise WireError(
             f"delay histogram has {len(histogram)} bins, "
             f"expected {len(stats.histogram)}"
+        )
+    if (histogram < 0).any():
+        raise WireError("delay histogram has a negative bin")
+    binned = int(histogram.sum())
+    if binned != stats.count:
+        raise WireError(
+            f"delay histogram bins sum to {binned}, but count is {stats.count}"
         )
     stats.histogram = histogram
     return stats

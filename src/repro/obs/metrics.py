@@ -10,8 +10,14 @@ null-object discipline the tracer uses (rule OBS002)::
         self.m_outputs.inc(n)
 
 When observability is off, :data:`NULL_REGISTRY` hands out shared no-op
-instruments and every instrumentation site pays one attribute load and
-branch — measured by ``benchmarks/bench_obs.py``.
+counters and gauges, and every instrumentation site pays one attribute
+load and branch — measured by ``benchmarks/bench_obs.py``, which also
+times :meth:`Histogram.observe_many` per recorded value.
+
+There is one histogram: :class:`Histogram`, the production-delay
+statistics over the fixed log-spaced :data:`DELAY_BIN_EDGES`.  A slave
+records each delay into it once; with metrics on, the same object is
+also the node's registered ``production_delay_seconds`` instrument.
 
 Snapshots are plain nested dicts (JSON-serializable, picklable across
 the process backend's result pipes); :func:`render_prometheus` renders
@@ -21,25 +27,23 @@ for the admin endpoint's ``/metrics``.
 
 from __future__ import annotations
 
-import bisect
 import typing as t
+
+import numpy as np
+import numpy.typing as npt
 
 __all__ = [
     "Counter",
+    "DELAY_BIN_EDGES",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_REGISTRY",
-    "DEFAULT_BUCKETS",
     "render_prometheus",
 ]
 
-#: Default histogram bucket upper bounds, seconds (1 ms .. ~2 min).
-#: Log-spaced like :data:`repro.core.metrics.DELAY_BIN_EDGES` but much
-#: coarser: registry histograms feed dashboards, not figures.
-DEFAULT_BUCKETS: tuple[float, ...] = (
-    0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0, 30.0, 120.0,
-)
+#: Log-spaced delay histogram edges, seconds (1 ms .. ~17 min).
+DELAY_BIN_EDGES: npt.NDArray[np.float64] = np.logspace(-3, 3, 61)
 
 
 class Instrument:
@@ -99,48 +103,100 @@ class Gauge(Instrument):
 
 
 class Histogram(Instrument):
-    """Cumulative-bucket histogram (Prometheus semantics).
+    """Streaming statistics over production delays.
 
-    ``buckets`` are upper bounds; an implicit ``+Inf`` bucket catches
-    the tail.  ``counts[i]`` is the number of observations ``<=
-    buckets[i]`` in that bin (non-cumulative internally; the renderer
-    accumulates).
+    ``count`` / ``minimum`` / ``maximum`` are exact, ``total`` is the
+    running sum, and ``histogram`` bins the values over
+    :data:`DELAY_BIN_EDGES` with Prometheus ``le`` semantics:
+    ``histogram[i]`` counts values ``<= DELAY_BIN_EDGES[i]`` and above
+    the edge before it, and the last bin is the ``+Inf`` tail
+    (non-cumulative internally; the renderer accumulates).
     """
 
     kind = "histogram"
 
-    __slots__ = ("buckets", "counts", "sum", "count")
+    __slots__ = ("count", "total", "minimum", "maximum", "histogram")
 
-    def __init__(
-        self,
-        name: str,
-        help_: str = "",
-        buckets: t.Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
+    def __init__(self, name: str = "", help_: str = "") -> None:
         super().__init__(name, help_)
-        ordered = tuple(float(b) for b in buckets)
-        if list(ordered) != sorted(set(ordered)):
-            raise ValueError(f"histogram {name!r} buckets must strictly increase")
-        self.buckets = ordered
-        self.counts = [0] * (len(ordered) + 1)
-        self.sum = 0.0
         self.count = 0
+        self.total = 0.0
+        self.minimum = float("inf")
+        self.maximum = 0.0
+        self.histogram: npt.NDArray[np.int64] = np.zeros(
+            len(DELAY_BIN_EDGES) + 1, dtype=np.int64
+        )
 
-    def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self.buckets, value)] += 1
-        self.sum += value
-        self.count += 1
+    def observe_many(self, values: npt.NDArray[np.float64]) -> None:
+        n = len(values)
+        if n == 0:
+            return
+        self.count += n
+        self.total += float(values.sum())
+        self.minimum = min(self.minimum, float(values.min()))
+        self.maximum = max(self.maximum, float(values.max()))
+        # Bins last: a concurrent reader that sees a value binned also
+        # sees it in the extrema (SlaveMetrics.pop_unreported).
+        self.histogram += np.bincount(
+            np.searchsorted(DELAY_BIN_EDGES, values), minlength=len(self.histogram)
+        )
 
-    def observe_many(self, values: t.Iterable[float]) -> None:
-        for value in values:
-            self.observe(float(value))
+    def merge(self, other: "Histogram") -> None:
+        self.count += other.count
+        self.total += other.total
+        self.minimum = min(self.minimum, other.minimum)
+        self.maximum = max(self.maximum, other.maximum)
+        self.histogram += other.histogram
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def percentile(self, q: float) -> float:
+        """Approximate percentile from the log-spaced histogram.
+
+        Interpolates linearly within the bin the *q*-th sample falls
+        into; ``q >= 100`` returns the exact observed maximum.  The
+        result is clamped to the observed ``[minimum, maximum]`` so the
+        histogram's fixed edges never widen the reported range.
+        """
+        if self.count == 0:
+            return 0.0
+        if q >= 100.0:
+            return self.maximum
+        target = max(q, 0.0) / 100.0 * self.count
+        cum = np.cumsum(self.histogram)
+        idx = int(np.searchsorted(cum, target, side="left"))
+        idx = min(idx, len(self.histogram) - 1)
+        below = float(cum[idx - 1]) if idx > 0 else 0.0
+        in_bin = float(cum[idx]) - below
+        frac = (target - below) / in_bin if in_bin > 0 else 0.0
+        lo = float(DELAY_BIN_EDGES[idx - 1]) if idx > 0 else 0.0
+        hi = (
+            float(DELAY_BIN_EDGES[idx])
+            if idx < len(DELAY_BIN_EDGES)
+            else self.maximum
+        )
+        value = lo + frac * (hi - lo)
+        return float(min(max(value, self.minimum), self.maximum))
+
+    def summary(self) -> dict[str, float]:
+        """Headline statistics (count, mean, extrema, p50, p99)."""
+        return {
+            "count": float(self.count),
+            "mean": self.mean,
+            "min": self.minimum if self.count else 0.0,
+            "max": self.maximum,
+            "p50": self.percentile(50),
+            "p99": self.percentile(99),
+        }
 
     def snapshot(self) -> dict[str, t.Any]:
         return {
             "kind": self.kind,
-            "buckets": list(self.buckets),
-            "counts": list(self.counts),
-            "sum": self.sum,
+            "buckets": DELAY_BIN_EDGES.tolist(),
+            "counts": self.histogram.tolist(),
+            "sum": self.total,
             "count": self.count,
         }
 
@@ -162,19 +218,8 @@ class _NullGauge(Gauge):
         pass
 
 
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values: t.Iterable[float]) -> None:
-        pass
-
-
 _NULL_COUNTER = _NullCounter("null")
 _NULL_GAUGE = _NullGauge("null")
-_NULL_HISTOGRAM = _NullHistogram("null")
 
 
 class MetricsRegistry:
@@ -182,8 +227,9 @@ class MetricsRegistry:
 
     Instrument factories are idempotent: asking twice for the same name
     returns the same object; asking with a different type raises.  A
-    disabled registry (:data:`NULL_REGISTRY`) hands out shared no-op
-    instruments and registers nothing.
+    disabled registry (:data:`NULL_REGISTRY`) registers nothing: it hands
+    out shared no-op counters and gauges, and a fresh unregistered
+    histogram, because a histogram is also its owner's own statistics.
     """
 
     __slots__ = ("node", "enabled", "_instruments")
@@ -225,15 +271,10 @@ class MetricsRegistry:
         assert isinstance(out, Gauge)
         return out
 
-    def histogram(
-        self,
-        name: str,
-        help_: str = "",
-        buckets: t.Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
+    def histogram(self, name: str, help_: str = "") -> Histogram:
         if not self.enabled:
-            return _NULL_HISTOGRAM
-        out = self._get(name, lambda: Histogram(name, help_, buckets), Histogram)
+            return Histogram(name, help_)
+        out = self._get(name, lambda: Histogram(name, help_), Histogram)
         assert isinstance(out, Histogram)
         return out
 

@@ -81,7 +81,7 @@ from repro.core.cluster import (
     standby_node_id,
     trace_meta,
 )
-from repro.core.metrics import DelayStats, MeasurementWindow, SlaveMetrics
+from repro.core.metrics import MeasurementWindow, SlaveMetrics
 from repro.core.system import RunResult, master_snapshot, start_admin_server
 from repro.errors import ConfigError, DeadlockError
 from repro.net.proc_transport import (
@@ -98,6 +98,7 @@ from repro.obs.exporters import (
     merge_records,
     replay_records,
 )
+from repro.obs.metrics import Histogram
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.thread import ThreadRuntime, reject_unsupported
 
@@ -720,7 +721,7 @@ class ProcessBackend:
         collector = payloads[COLLECTOR_ID]
         gate = MeasurementWindow(cfg.warmup_seconds, cfg.run_seconds)
 
-        merged = DelayStats()
+        merged = Histogram()
         snapshots: list[dict[str, t.Any]] = []
         replicated = cfg.replication != "off"
         # Mirrors collect_result: the master's banked pairs come first,

@@ -9,12 +9,13 @@ from repro.core.metrics import (
     MeasurementWindow,
     SlaveMetrics,
 )
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 
 class TestDelayStats:
     def test_record_and_mean(self):
         stats = DelayStats()
-        stats.record(np.array([1.0, 2.0, 3.0]))
+        stats.observe_many(np.array([1.0, 2.0, 3.0]))
         assert stats.count == 3
         assert stats.mean == pytest.approx(2.0)
         assert stats.minimum == 1.0
@@ -22,14 +23,14 @@ class TestDelayStats:
 
     def test_empty_record_is_noop(self):
         stats = DelayStats()
-        stats.record(np.empty(0))
+        stats.observe_many(np.empty(0))
         assert stats.count == 0
         assert stats.mean == 0.0
 
     def test_merge(self):
         a, b = DelayStats(), DelayStats()
-        a.record(np.array([1.0]))
-        b.record(np.array([3.0]))
+        a.observe_many(np.array([1.0]))
+        b.observe_many(np.array([3.0]))
         a.merge(b)
         assert a.count == 2
         assert a.mean == pytest.approx(2.0)
@@ -37,8 +38,8 @@ class TestDelayStats:
 
     def test_percentile_approximation(self):
         stats = DelayStats()
-        stats.record(np.full(99, 0.01))
-        stats.record(np.full(1, 100.0))
+        stats.observe_many(np.full(99, 0.01))
+        stats.observe_many(np.full(1, 100.0))
         assert stats.percentile(50) == pytest.approx(0.01, rel=0.3)
         assert stats.percentile(99.9) > 50
 
@@ -49,7 +50,7 @@ class TestDelayStats:
         rng = np.random.default_rng(42)
         samples = rng.lognormal(mean=0.0, sigma=1.5, size=5000)
         stats = DelayStats()
-        stats.record(samples)
+        stats.observe_many(samples)
         for q in (10, 25, 50, 75, 90, 99):
             exact = float(np.percentile(samples, q))
             assert stats.percentile(q) == pytest.approx(exact, rel=0.3)
@@ -58,18 +59,18 @@ class TestDelayStats:
         # All mass in one bin: the answer must still move with q
         # instead of snapping to the bin edge.
         stats = DelayStats()
-        stats.record(np.full(100, 5.0))
+        stats.observe_many(np.full(100, 5.0))
         assert stats.percentile(50) == pytest.approx(5.0)
 
     def test_percentile_q100_returns_exact_maximum(self):
         stats = DelayStats()
-        stats.record(np.array([0.2, 1.0, 7.3]))
+        stats.observe_many(np.array([0.2, 1.0, 7.3]))
         assert stats.percentile(100) == 7.3
         assert stats.percentile(150) == 7.3
 
     def test_percentile_clamped_to_observed_range(self):
         stats = DelayStats()
-        stats.record(np.array([2.0, 3.0]))
+        stats.observe_many(np.array([2.0, 3.0]))
         assert stats.percentile(0) >= 2.0
         assert stats.percentile(99) <= 3.0
 
@@ -79,7 +80,7 @@ class TestDelayStats:
 
     def test_merge_with_empty_side(self):
         filled, empty = DelayStats(), DelayStats()
-        filled.record(np.array([1.0, 2.0]))
+        filled.observe_many(np.array([1.0, 2.0]))
         filled.merge(empty)
         assert filled.count == 2
         assert filled.mean == pytest.approx(1.5)
@@ -104,14 +105,17 @@ class TestDelayStats:
 
     def test_histogram_total(self):
         stats = DelayStats()
-        stats.record(np.random.default_rng(0).uniform(0.001, 500, 1000))
+        stats.observe_many(np.random.default_rng(0).uniform(0.001, 500, 1000))
         assert stats.histogram.sum() == 1000
 
     def test_snapshot_keys(self):
         stats = DelayStats()
-        stats.record(np.array([0.5]))
-        snap = stats.snapshot()
+        stats.observe_many(np.array([0.5]))
+        snap = stats.summary()
         assert set(snap) == {"count", "mean", "min", "max", "p50", "p99"}
+
+    def test_is_the_registry_histogram(self):
+        assert DelayStats is Histogram
 
 
 class TestMeasurementWindow:
@@ -173,6 +177,67 @@ class TestSlaveMetricsGating:
         assert metrics.pop_unreported().count == 0
         # Local (lifetime) stats unaffected by popping.
         assert metrics.delays.count == 1
+
+    def test_pop_unreported_intervals_sum_to_delays(self):
+        metrics = SlaveMetrics(1, MeasurementWindow(0.0))
+        merged = Histogram()
+        rng = np.random.default_rng(3)
+        for step in range(5):
+            now = 10.0 + step
+            metrics.record_outputs(now, now - rng.uniform(0.001, 50.0, 40))
+            merged.merge(metrics.pop_unreported())
+        merged.merge(metrics.pop_unreported())  # empty interval
+        assert merged.count == metrics.delays.count == 200
+        assert np.array_equal(merged.histogram, metrics.delays.histogram)
+        assert merged.total == pytest.approx(metrics.delays.total)
+        assert merged.minimum == metrics.delays.minimum
+        assert merged.maximum == metrics.delays.maximum
+
+    def test_pop_unreported_is_consistent_under_a_concurrent_writer(self):
+        # Wall backends record on the join thread while the comm thread
+        # reports: every interval must be wire-valid (bins sum to count,
+        # none negative) and the intervals must add up to the total.
+        import sys
+        import threading
+
+        metrics = SlaveMetrics(1, MeasurementWindow(0.0))
+        batch = np.linspace(0.002, 40.0, 16)
+        stop = threading.Event()
+
+        def record() -> None:
+            while not stop.is_set():
+                metrics.record_outputs(50.0, 50.0 - batch)
+
+        merged = Histogram()
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writer = threading.Thread(target=record)
+        try:
+            writer.start()
+            for _ in range(2000):
+                interval = metrics.pop_unreported()
+                assert int(interval.histogram.sum()) == interval.count
+                assert (interval.histogram >= 0).all()
+                if interval.count:
+                    assert interval.minimum <= 0.002 + 1e-12
+                merged.merge(interval)
+        finally:
+            stop.set()
+            writer.join(timeout=10.0)
+            sys.setswitchinterval(old)
+        assert not writer.is_alive()
+        merged.merge(metrics.pop_unreported())
+        assert merged.count == metrics.delays.count
+        assert np.array_equal(merged.histogram, metrics.delays.histogram)
+
+    def test_delays_are_the_registered_instrument(self):
+        registry = MetricsRegistry(node=1)
+        metrics = SlaveMetrics(1, MeasurementWindow(0.0), registry=registry)
+        metrics.record_outputs(2.0, np.array([1.5, 0.5]))
+        snap = registry.snapshot()["production_delay_seconds"]
+        assert snap["count"] == 2
+        assert snap["counts"] == metrics.delays.histogram.tolist()
+        assert snap["sum"] == metrics.delays.total
 
     def test_window_sampling_tracks_max(self):
         metrics = SlaveMetrics(1, MeasurementWindow(0.0))

@@ -94,6 +94,8 @@ class TestCrossBackend:
         runtime.join_all(timeout=120.0)
         local = sum(m.delays.count for m in cluster.slave_metrics)
         assert cluster.collector.delays.count == local
+        bins = sum(m.delays.histogram for m in cluster.slave_metrics)
+        assert cluster.collector.delays.histogram.tolist() == bins.tolist()
 
 
 class TestFourWayConformance:
@@ -134,6 +136,13 @@ class TestFourWayConformance:
                 workload=TraceReplayer(trace),
             ).run()
             produced[backend] = sorted_pairs([result.pairs])
+            # The collector's merged histogram is the bin-wise sum of
+            # the slaves' (RunResult.delays pools the slaves).
+            assert result.collector_delays.count == result.delays.count
+            assert (
+                result.collector_delays.histogram.tolist()
+                == result.delays.histogram.tolist()
+            ), f"{backend} collector histogram differs from the slaves'"
 
         for backend, pairs in produced.items():
             assert np.array_equal(pairs, oracle), (

@@ -13,6 +13,7 @@ Covers the acceptance criteria of the tracing layer:
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -102,6 +103,30 @@ class TestObservabilityIsPassive:
         assert traced.cpu_times == base.cpu_times
         assert traced.comm_times == base.comm_times
         assert traced.dod_trace == base.dod_trace
+
+
+class TestRegistryDelayHistogram:
+    def test_registry_snapshot_matches_each_slaves_delays(self):
+        # With metrics on, each slave's production_delay_seconds
+        # instrument is its delay histogram: same count, same bins.
+        result = JoinSystem(provocative_config(metrics=True)).run()
+        assert result.node_metrics is not None
+        pooled = np.zeros_like(result.delays.histogram)
+        for snap in result.slaves:
+            hist = result.node_metrics[snap["node"]]["production_delay_seconds"]
+            assert hist["count"] == snap["delay"]["count"] == snap["outputs"]
+            assert sum(hist["counts"]) == hist["count"]
+            assert hist["sum"] == pytest.approx(
+                snap["delay"]["mean"] * snap["delay"]["count"]
+            )
+            pooled += np.asarray(hist["counts"], dtype=np.int64)
+        assert result.outputs > 0
+        assert np.array_equal(pooled, result.delays.histogram)
+        assert np.array_equal(pooled, result.collector_delays.histogram)
+
+        base = JoinSystem(provocative_config()).run()
+        assert np.array_equal(base.delays.histogram, result.delays.histogram)
+        assert base.summary() == result.summary()
 
 
 class TestCliEndToEnd:

@@ -35,6 +35,12 @@ class TestRunResult:
         assert result.collector_delays.total == pytest.approx(
             result.delays.total
         )
+        assert (
+            result.collector_delays.histogram.tolist()
+            == result.delays.histogram.tolist()
+        )
+        assert result.collector_delays.minimum == result.delays.minimum
+        assert result.collector_delays.maximum == result.delays.maximum
 
     def test_every_slave_worked(self, result):
         for snap in result.slaves:

@@ -100,7 +100,7 @@ def delay_stats(draw):
         )
     )
     if delays:
-        stats.record(np.asarray(delays, dtype=np.float64))
+        stats.observe_many(np.asarray(delays, dtype=np.float64))
     return stats
 
 
@@ -512,3 +512,24 @@ class TestMalformed:
     def test_non_wire_object_rejected(self):
         with pytest.raises(WireError, match="not a wire message"):
             encode_message({"not": "a message"})
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("count", -3, "count is negative"),
+            ("bin", -1, "negative bin"),
+            ("bin", 7, "bins sum to"),
+            ("count", 99, "bins sum to"),
+        ],
+    )
+    def test_inconsistent_delay_stats(self, field, value, match):
+        # The encoder ships fields as they are; the decoder must refuse
+        # statistics that would skew the collector's percentiles.
+        stats = DelayStats()
+        stats.observe_many(np.array([0.01, 0.5, 2.0]))
+        if field == "count":
+            stats.count = value
+        else:
+            stats.histogram[10] = value
+        with pytest.raises(WireError, match=match):
+            decode_message(encode_message(ResultReport(4, stats)))

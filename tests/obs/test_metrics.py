@@ -1,9 +1,10 @@
 """Unit tests for the typed metrics registry (repro.obs.metrics)."""
 
+import numpy as np
 import pytest
 
 from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
+    DELAY_BIN_EDGES,
     NULL_REGISTRY,
     Counter,
     Gauge,
@@ -34,19 +35,26 @@ class TestInstruments:
         assert g.snapshot()["kind"] == "gauge"
 
     def test_histogram_buckets(self):
-        h = Histogram("delay", buckets=(0.1, 1.0, 10.0))
-        h.observe_many([0.05, 0.5, 0.5, 5.0, 100.0])
+        h = Histogram("delay")
+        # An edge value lands in its own bin (Prometheus `le`); values
+        # past the last edge land in the +Inf tail.
+        h.observe_many(np.array([0.0005, 0.001, 0.1, 0.1, 5e3]))
         snap = h.snapshot()
-        assert snap["counts"] == [1, 2, 1, 1]  # last bin = +Inf tail
+        assert snap["buckets"] == DELAY_BIN_EDGES.tolist()
+        assert len(snap["counts"]) == len(DELAY_BIN_EDGES) + 1
+        tenth = int(np.searchsorted(DELAY_BIN_EDGES, 0.1))
+        assert snap["counts"][0] == 2
+        assert snap["counts"][tenth] == 2
+        assert snap["counts"][-1] == 1  # last bin = +Inf tail
+        assert sum(snap["counts"]) == 5
         assert snap["count"] == 5
-        assert snap["sum"] == pytest.approx(106.05)
+        assert snap["sum"] == pytest.approx(5000.2015)
 
-    def test_histogram_rejects_unsorted_buckets(self):
-        with pytest.raises(ValueError, match="strictly increase"):
-            Histogram("delay", buckets=(1.0, 0.5))
-
-    def test_default_buckets_are_sorted(self):
-        assert list(DEFAULT_BUCKETS) == sorted(set(DEFAULT_BUCKETS))
+    def test_histogram_edges_are_log_spaced(self):
+        assert len(DELAY_BIN_EDGES) == 61
+        assert DELAY_BIN_EDGES[0] == pytest.approx(1e-3)
+        assert DELAY_BIN_EDGES[-1] == pytest.approx(1e3)
+        assert np.all(np.diff(DELAY_BIN_EDGES) > 0)
 
 
 class TestRegistry:
@@ -80,10 +88,13 @@ class TestRegistry:
         g = NULL_REGISTRY.gauge("occ")
         g.set(5.0)
         h = NULL_REGISTRY.histogram("delay")
-        h.observe(1.0)
+        h.observe_many(np.array([1.0]))
         assert c.value == 0.0
         assert g.value == 0.0
-        assert h.count == 0
+        # A histogram is its owner's statistics: it still records, but
+        # a disabled registry never registers it.
+        assert h.count == 1
+        assert NULL_REGISTRY.histogram("delay") is not h
         assert len(NULL_REGISTRY) == 0
         assert NULL_REGISTRY.snapshot() == {}
 
@@ -106,13 +117,16 @@ class TestPrometheusRendering:
 
     def test_histogram_renders_cumulative_buckets(self):
         reg = MetricsRegistry(node=2)
-        h = reg.histogram("delay", buckets=(0.1, 1.0))
-        h.observe_many([0.05, 0.5, 5.0])
+        h = reg.histogram("delay")
+        h.observe_many(np.array([0.05, 0.5, 5e3]))
         text = render_prometheus({2: reg.snapshot()})
+        assert 'swjoin_delay_bucket{node="2",le="0.001"} 0' in text
         assert 'swjoin_delay_bucket{node="2",le="0.1"} 1' in text
         assert 'swjoin_delay_bucket{node="2",le="1"} 2' in text
+        assert 'swjoin_delay_bucket{node="2",le="1000"} 2' in text
         assert 'swjoin_delay_bucket{node="2",le="+Inf"} 3' in text
         assert 'swjoin_delay_count{node="2"} 3' in text
+        assert text.count("swjoin_delay_bucket") == len(DELAY_BIN_EDGES) + 1
 
     def test_output_is_deterministic(self):
         reg = MetricsRegistry(node=0)
